@@ -14,6 +14,11 @@ SLOW=0
 echo "== build =="
 cargo build --workspace --all-targets
 
+echo "== build the benchmark crate =="
+# perfbench/ is a separate Cargo workspace built against the library
+# crates by path, so an API break there only shows when it is built.
+CARGO_TARGET_DIR=.bench_build cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
+
 echo "== test =="
 cargo test -q --workspace
 

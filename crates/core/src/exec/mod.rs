@@ -1,35 +1,36 @@
-//! Real plan executor: one thread per rank, crossbeam channels for
-//! messages, actual files on disk.
+//! Real plan executor: one thread per rank, bounded
+//! `std::sync::mpsc::sync_channel` mailboxes for messages, actual files
+//! on disk.
 //!
 //! This is the back-end a downstream application uses to checkpoint for
 //! real (at in-process scale), and what the test suite uses to prove that
 //! every strategy's plan moves every byte to its correct file offset. The
 //! simulated Blue Gene/P executor in `rbio-machine` interprets the *same*
 //! plans in virtual time.
+//!
+//! Each rank thread runs the shared rank interpreter (the
+//! crate-private `vm` module); this module supplies only the
+//! channel-mesh transport (abort flag, heartbeats, failover fencing and
+//! rerouting), the writer health monitor, and the takeover loop in which
+//! surviving writers replay a dead writer's ops.
 
 use std::collections::HashMap;
-use std::fs::{File, OpenOptions};
 use std::io;
-use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::SyncSender;
 use std::sync::{Arc, Barrier, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TrySendError};
-
 use rbio_plan::{DataRef, Op, Program};
-use rbio_profile::counters;
 
 use crate::backend::BackendKind;
 use crate::buf::{BufPool, Bytes, CopyMode};
-use crate::commit;
-use crate::crash;
 use crate::failover::{FailoverDirector, FailoverPolicy, WriterHealth};
 use crate::fault::{self, FaultPlan};
 use crate::format::synthetic_byte;
-use crate::pipeline::{FlushJob, FlushPool, PipelineError, WriterHandle, WriterTuning};
 use crate::sched::{self, Point};
+use crate::vm::{self, Mailbox, Msg, Payload, RankVm, Transport, Wait};
 
 /// Test-only regression switch: re-introduces the PR 3 fault-drop bug
 /// (`Send` op not advanced past after an injected drop, so the op
@@ -38,15 +39,6 @@ use crate::sched::{self, Point};
 /// regression schedules; must never be set outside tests.
 #[doc(hidden)]
 pub static REVERT_PR3_FAULT_DROP: AtomicBool = AtomicBool::new(false);
-
-/// Futile receive polls a controlled run allows before the typed recv
-/// timeout surfaces — the deterministic analogue of `recv_timeout`.
-pub(crate) const CHECK_RECV_POLL_BUDGET: u32 = 2000;
-
-/// Futile send polls (full bounded mailbox) a controlled run allows
-/// before the typed send timeout surfaces — the deterministic analogue
-/// of the wall-clock send deadline.
-pub(crate) const CHECK_SEND_POLL_BUDGET: u32 = 2000;
 
 /// Default per-rank mailbox capacity (messages). Bounded so a burst or a
 /// stalled receiver exerts backpressure on senders instead of growing
@@ -60,54 +52,12 @@ pub const DEFAULT_COALESCE_BYTES: u64 = 8 << 20;
 /// Default cap on chunks per coalesced write (well under any `IOV_MAX`).
 pub const DEFAULT_COALESCE_OPS: usize = 64;
 
-/// Byte length a `DataRef` describes.
-pub(crate) fn src_len(r: &DataRef) -> u64 {
-    match *r {
-        DataRef::Own { len, .. } | DataRef::Staging { len, .. } | DataRef::Synthetic { len } => len,
-    }
-}
-
-/// The source of a `WriteAt` op (callers guarantee the variant).
-pub(crate) fn write_src(op: &Op) -> &DataRef {
-    match op {
-        Op::WriteAt { src, .. } => src,
-        _ => unreachable!("write run contains only WriteAt ops"),
-    }
-}
-
-/// Length of the maximal coalescible run of `WriteAt` ops starting at
-/// `ops[i]`: same file, byte-contiguous offsets, bounded size. Shared by
-/// both executors so their batching (and thus their syscall pattern) is
-/// identical.
-pub(crate) fn write_run_len(
-    ops: &[Op],
-    i: usize,
-    file: u32,
-    offset: u64,
-    max_bytes: u64,
-    max_ops: usize,
-) -> usize {
-    let mut end = i + 1;
-    let mut next = offset + src_len(write_src(&ops[i]));
-    let mut total = src_len(write_src(&ops[i]));
-    while end < ops.len() && end - i < max_ops.max(1) && total < max_bytes.max(1) {
-        match &ops[end] {
-            Op::WriteAt {
-                file: f2,
-                offset: o2,
-                src: s2,
-            } if f2.0 == file && *o2 == next => {
-                next += src_len(s2);
-                total += src_len(s2);
-                end += 1;
-            }
-            _ => break,
-        }
-    }
-    end
-}
-
-/// Executor configuration.
+/// Executor configuration, shared by [`execute`] and
+/// [`crate::rt::checkpoint_rank_with`] (as [`crate::rt::RtConfig`]): both
+/// run the same rank interpreter, which honours every field it reads.
+/// `recv_timeout`, `failover` and `chan_capacity` configure `execute`'s
+/// channel mesh; `rt` ranks talk through their [`crate::rt::Comm`],
+/// which has its own timeout and mailbox capacity.
 #[derive(Debug, Clone)]
 pub struct ExecConfig {
     /// Directory all plan file names are resolved against.
@@ -126,6 +76,7 @@ pub struct ExecConfig {
     pub retry_backoff: Duration,
     /// How long a `Recv` waits with no matching message before failing
     /// (a lost handoff must surface as a typed error, not a hang).
+    /// `execute` only — see [`crate::rt::Comm::set_recv_timeout`].
     pub recv_timeout: Duration,
     /// Outstanding background flush jobs per writer. `1` (the default)
     /// is the fully serial path; `≥ 2` defers `WriteAt`/`Close`/`Commit`
@@ -149,7 +100,8 @@ pub struct ExecConfig {
     /// the run, exactly as before. When enabled (and the plan supports
     /// takeover — per-writer files, no writer barriers), a dead or hung
     /// writer's extent is re-staged and written by the next surviving
-    /// writer, and the generation completes in degraded mode.
+    /// writer, and the generation completes in degraded mode. `execute`
+    /// only.
     pub failover: FailoverPolicy,
     /// When set, atomic plan files divert into this node-local tier
     /// stage instead of the filesystem: `Open` becomes a no-op,
@@ -170,6 +122,7 @@ pub struct ExecConfig {
     /// `sync_channel`s: a sender facing a full mailbox blocks (bounded
     /// resident bytes) and surfaces the typed `TimedOut` error after
     /// `recv_timeout` rather than growing the queue without limit.
+    /// `execute` only — see [`crate::rt::run_with_capacity`].
     pub chan_capacity: usize,
 }
 
@@ -310,38 +263,10 @@ impl std::fmt::Display for ExecError {
 
 impl std::error::Error for ExecError {}
 
-type Msg = (u32, u64, Bytes); // (src, tag, data)
-
-/// How a bounded send ended. `Disconnected` (receiver endpoint dropped)
-/// is not an error by itself — callers decide based on failover fencing
-/// whether a gone receiver is expected or fatal.
-enum SendOutcome {
-    Sent,
-    Disconnected,
-}
-
 /// An abort-induced error: the rank stopped because a *peer* failed, not
 /// because of its own fault. `execute` prefers reporting the root cause.
 fn abort_error() -> io::Error {
     io::Error::new(io::ErrorKind::Interrupted, "aborted: a peer rank failed")
-}
-
-fn killed_error(rank: u32) -> io::Error {
-    io::Error::other(format!("fault injection: rank {rank} killed"))
-}
-
-/// Was this error produced by [`killed_error`] (an injected rank death)?
-/// Only killed ranks are eligible for failover absorption — genuine I/O
-/// errors and timeouts still abort the run.
-fn is_killed_error(e: &io::Error) -> bool {
-    e.kind() == io::ErrorKind::Other && e.to_string().contains("fault injection")
-}
-
-fn pipe_error(e: PipelineError) -> io::Error {
-    match e {
-        PipelineError::Killed { rank } => killed_error(rank),
-        PipelineError::Io(source) => source,
-    }
 }
 
 /// A barrier whose waiters poll a shared abort flag, so one rank dying
@@ -411,998 +336,196 @@ impl AbortBarrier {
     }
 }
 
-struct RankCtx<'a> {
+/// One rank's endpoint of the channel mesh.
+struct Mesh<'a> {
     rank: u32,
-    program: &'a Program,
-    payload: &'a Bytes,
-    /// Every rank's payload — a takeover re-derives the orphan's extent
-    /// (and the sends feeding it) from these shared buffers.
-    all_payloads: &'a [Bytes],
-    staging: Vec<u8>,
-    rx: Receiver<Msg>,
-    stash: HashMap<(u32, u64), std::collections::VecDeque<Bytes>>,
+    mailbox: Mailbox,
     senders: &'a [SyncSender<Msg>],
     barriers: &'a [AbortBarrier],
-    files: HashMap<u32, Arc<File>>,
-    cfg: &'a ExecConfig,
     abort: &'a AtomicBool,
-    retries: &'a AtomicU64,
-    /// Background flush pipeline (`pipeline_depth >= 2` only).
-    pipe: Option<WriterHandle>,
     /// Failover director, present when the policy is enabled and the plan
     /// supports takeover.
     director: Option<&'a FailoverDirector>,
-    /// This rank's liveness heartbeat, bumped at every op boundary and
-    /// receive poll; the monitor thread declares a writer dead when it
-    /// goes stale past the policy deadline.
+    /// Liveness heartbeat, bumped at every op boundary and blocked poll;
+    /// the monitor declares a writer dead when it goes stale past the
+    /// policy deadline.
     beat: Arc<AtomicU64>,
+    timeout: Duration,
 }
 
-impl RankCtx<'_> {
-    /// Materialize `r` as an owned, immutable [`Bytes`] snapshot — what a
-    /// `Send` or a deferred (pipelined) write needs. Under `ZeroCopy` a
-    /// payload reference is an O(1) refcounted slice (payloads are never
-    /// mutated during a run); only staging references copy, because
-    /// staging is reused by later `Pack`/`Recv` ops. Under `DeepCopy`
-    /// everything copies, as the seed datapath did. Every memcpy either
-    /// way is charged to [`counters::add_bytes_copied`].
-    fn resolve_owned(&self, r: &DataRef, file_off_hint: u64) -> Bytes {
-        match self.cfg.copy_mode {
-            CopyMode::DeepCopy => match *r {
-                DataRef::Own { off, len } => {
-                    counters::add_bytes_copied(len);
-                    Bytes::from_vec(self.payload[off as usize..(off + len) as usize].to_vec())
-                }
-                DataRef::Staging { off, len } => {
-                    counters::add_bytes_copied(len);
-                    Bytes::from_vec(self.staging[off as usize..(off + len) as usize].to_vec())
-                }
-                DataRef::Synthetic { len } => Bytes::from_vec(
-                    (0..len)
-                        .map(|i| synthetic_byte(file_off_hint + i))
-                        .collect(),
+impl Mesh<'_> {
+    /// A blocked rank is alive, just waiting: beat, then check abort.
+    fn alive(&self) -> bool {
+        self.beat.fetch_add(1, Ordering::Relaxed);
+        !self.abort.load(Ordering::Acquire)
+    }
+
+    fn fenced(&self, rank: u32) -> bool {
+        self.director.is_some_and(|d| d.is_fenced(rank))
+    }
+
+    /// Send as `src` — the orphan's identity during a takeover, so the
+    /// receiver matches the message as if the orphan had sent it.
+    fn send_as(&self, src: u32, dst: u32, tag: u64, data: Bytes) -> io::Result<()> {
+        // A fenced writer's successor re-derives this payload from the
+        // shared buffers during takeover: nothing to deliver.
+        if self.fenced(dst) {
+            return Ok(());
+        }
+        let tx = &self.senders[dst as usize];
+        match vm::send_bounded(tx, (src, tag, data), self.timeout, &|| self.alive()) {
+            Ok(()) => Ok(()),
+            // The writer died between the check and the send.
+            Err(Wait::Closed) if self.fenced(dst) => Ok(()),
+            // The receiver failed and dropped its endpoint.
+            Err(Wait::Closed | Wait::Aborted) => Err(abort_error()),
+            Err(Wait::Timeout) => Err(io::Error::new(
+                io::ErrorKind::TimedOut,
+                format!(
+                    "send timeout: rank {dst}'s mailbox stayed full for {:?} \
+                     (stalled receiver?)",
+                    self.timeout
                 ),
-            },
-            CopyMode::ZeroCopy => match *r {
-                DataRef::Own { off, len } => self.payload.slice(off as usize..(off + len) as usize),
-                DataRef::Staging { off, len } => BufPool::global()
-                    .copy_from_slice(&self.staging[off as usize..(off + len) as usize]),
-                DataRef::Synthetic { len } => BufPool::global()
-                    .from_fn(len as usize, |i| synthetic_byte(file_off_hint + i as u64)),
-            },
+            )),
         }
     }
+}
 
-    fn run(&mut self) -> io::Result<()> {
-        // Copy out the `&'a Program` reference so indexed op access does
-        // not hold a borrow of `self` across `&mut self` calls.
-        let program = self.program;
-        let ops = &program.ops[self.rank as usize];
-        let mut i = 0;
-        while i < ops.len() {
-            sched::yield_now(Point::Progress);
-            self.beat.fetch_add(1, Ordering::Relaxed);
-            let op = &ops[i];
-            match op {
-                Op::Compute { nanos } => {
-                    if self.cfg.honor_compute {
-                        std::thread::sleep(Duration::from_nanos(*nanos));
-                    }
-                }
-                Op::Pack {
-                    src,
-                    staging_off,
-                    bytes,
-                } => {
-                    if let Some(s) = src {
-                        match *s {
-                            DataRef::Staging { off, len } => {
-                                counters::add_bytes_copied(len);
-                                self.staging.copy_within(
-                                    off as usize..(off + len) as usize,
-                                    *staging_off as usize,
-                                );
-                            }
-                            _ => {
-                                let data = self.resolve_owned(s, 0);
-                                counters::add_bytes_copied(*bytes);
-                                self.staging[*staging_off as usize
-                                    ..*staging_off as usize + *bytes as usize]
-                                    .copy_from_slice(&data);
-                            }
-                        }
-                    }
-                }
-                Op::Send { dst, tag, src } => {
-                    let data = self.resolve_owned(src, 0);
-                    if self.cfg.faults.on_send(self.rank, *dst) {
-                        sched::emit(|| sched::Event::SendAttempt {
-                            rank: self.rank,
-                            dst: *dst,
-                            op_index: i,
-                            dropped: true,
-                        });
-                        // Injected message loss: the receiver times out.
-                        // Advancing `i` here is the PR 3 fix — without it
-                        // the op re-executes and, the drop budget being
-                        // spent, delivers the "lost" message after all.
-                        if !REVERT_PR3_FAULT_DROP.load(Ordering::Relaxed) {
-                            i += 1;
-                        }
-                        continue;
-                    }
-                    sched::emit(|| sched::Event::SendAttempt {
-                        rank: self.rank,
-                        dst: *dst,
-                        op_index: i,
-                        dropped: false,
-                    });
-                    if self.director.is_some_and(|d| d.is_fenced(*dst)) {
-                        // The destination writer is dead: its successor
-                        // re-derives this payload from the shared buffers
-                        // during takeover, so there is nothing to deliver.
-                    } else if matches!(
-                        self.send_bounded(*dst, self.rank, tag.0, data)?,
-                        SendOutcome::Disconnected
-                    ) {
-                        if self.director.is_some_and(|d| d.is_fenced(*dst)) {
-                            // The writer died between the check and the
-                            // send — same rerouting applies.
-                        } else {
-                            // The receiver is gone — it failed and dropped
-                            // its endpoint; surface as an abort-induced
-                            // error.
-                            return Err(abort_error());
-                        }
-                    }
-                }
-                Op::Recv {
-                    src,
-                    tag,
-                    bytes,
-                    staging_off,
-                } => {
-                    let data = self.recv_matching(*src, tag.0)?;
-                    if data.len() as u64 != *bytes {
-                        return Err(io::Error::other(format!(
-                            "recv size mismatch: want {bytes}, got {}",
-                            data.len()
-                        )));
-                    }
-                    // The one aggregation copy the plan IR mandates: the
-                    // received chunk lands in this writer's staging image.
-                    counters::add_bytes_copied(data.len() as u64);
-                    self.staging[*staging_off as usize..*staging_off as usize + data.len()]
-                        .copy_from_slice(&data);
-                }
-                Op::Barrier { comm } => {
-                    // Barriers carry cross-rank happens-before edges (e.g.
-                    // "all collective writes land before the owner
-                    // commits"), so the pipeline must be empty on entry.
-                    self.drain_pipe()?;
-                    sched::emit(|| sched::Event::BarrierEnter { rank: self.rank });
-                    self.barriers[comm.0 as usize].wait(self.abort, self.cfg.recv_timeout)?;
-                }
-                Op::Open { file, create } => {
-                    if self.staged_for(file.0).is_some() {
-                        // Tier-staged file: no filesystem object exists
-                        // until the drain engine publishes it.
-                        i += 1;
-                        continue;
-                    }
-                    let path = self.file_path(file.0);
-                    let f = if *create {
-                        if let Some(parent) = path.parent() {
-                            std::fs::create_dir_all(parent)?;
-                        }
-                        OpenOptions::new()
-                            .create(true)
-                            .truncate(true)
-                            .write(true)
-                            .read(true)
-                            .open(&path)?
-                    } else {
-                        OpenOptions::new().write(true).read(true).open(&path)?
-                    };
-                    self.files.insert(file.0, Arc::new(f));
-                }
-                Op::WriteAt {
-                    file,
-                    offset,
-                    src: _,
-                } if self.staged_for(file.0).is_some() => {
-                    i = self.stage_write_run(ops, i, file.0, *offset)?;
-                    continue;
-                }
-                Op::WriteAt {
-                    file,
-                    offset,
-                    src: _,
-                } => {
-                    i = self.handle_write_run(ops, i, file.0, *offset)?;
-                    continue;
-                }
-                Op::ReadAt {
-                    file,
-                    offset,
-                    len,
-                    staging_off,
-                } => {
-                    // Read-after-write: pending flushes must land first.
-                    self.drain_pipe()?;
-                    let f = self.files.get(&file.0).expect("validated: opened");
-                    let dst = &mut self.staging
-                        [*staging_off as usize..*staging_off as usize + *len as usize];
-                    f.read_exact_at(dst, *offset)?;
-                }
-                Op::Close { file } => {
-                    if let Some(f) = self.files.remove(&file.0) {
-                        if self.pipe.is_some() {
-                            self.submit(FlushJob::Close {
-                                file: f,
-                                fsync: self.cfg.fsync_on_close,
-                            })?;
-                        } else if self.cfg.fsync_on_close {
-                            if let Some(e) = self.cfg.faults.on_fsync(self.rank) {
-                                return Err(e);
-                            }
-                            f.sync_all()
-                                .inspect_err(|_| self.cfg.faults.latch_fsync_failure(self.rank))?;
-                            crash::record_fsync_file(&f);
-                        }
-                    }
-                }
-                Op::Commit { file } => {
-                    // The fence: a writer that was declared dead (and whose
-                    // extent a successor now owns) must never publish, even
-                    // if it revives after a hang. The refusal is absorbed —
-                    // the zombie simply skips the rename and retires.
-                    let fenced = self.director.is_some_and(|d| !d.allow_commit(self.rank));
-                    if !fenced {
-                        let spec = &self.program.files[file.0 as usize];
-                        if let Some(stage) = self.staged_for(file.0) {
-                            // Tier-staged: sealing is the whole commit;
-                            // the drain engine publishes to the PFS (with
-                            // footer + rename) in the background.
-                            stage.seal_file(&spec.name, spec.size);
-                            i += 1;
-                            continue;
-                        }
-                        let final_path = self.cfg.base_dir.join(&spec.name);
-                        let tmp = commit::tmp_path(&final_path);
-                        if self.pipe.is_some() {
-                            // The commit fault check and the rename both run
-                            // inside the job, after this writer's data writes
-                            // (FIFO) — commit stays the last op on the owner.
-                            self.submit(FlushJob::Commit {
-                                tmp,
-                                final_path,
-                                size: spec.size,
-                                fsync: self.cfg.fsync_on_close,
-                            })?;
-                        } else {
-                            if self.cfg.faults.on_commit(self.rank) {
-                                // The rank dies after its data writes but
-                                // before the rename: the final name must
-                                // never appear.
-                                return Err(killed_error(self.rank));
-                            }
-                            commit::commit_file_with_faults(
-                                &tmp,
-                                &final_path,
-                                spec.size,
-                                self.cfg.fsync_on_close,
-                                &self.cfg.faults,
-                                self.rank,
-                            )?;
-                            sched::emit(|| sched::Event::ExtentCommit {
-                                owner: self.rank,
-                                by: self.rank,
-                                path_hash: sched::path_fingerprint(&final_path),
-                            });
-                        }
-                    }
-                }
-            }
-            i += 1;
-        }
-        self.drain_pipe()?;
+impl Transport for Mesh<'_> {
+    fn progress(&mut self) -> io::Result<()> {
+        self.beat.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
-    /// Execute the coalescible run of `WriteAt` ops starting at `ops[i]`;
-    /// returns the index of the first op not consumed.
-    ///
-    /// Coalescing turns byte-contiguous same-file writes into one
-    /// vectored write. It is skipped when faults are armed — the
-    /// [`FaultPlan`] counts logical writes and its semantics are
-    /// specified against plan ops, one write per op — and under
-    /// `DeepCopy`, which preserves the legacy one-op-one-write shape.
-    fn handle_write_run(
-        &mut self,
-        ops: &[Op],
-        i: usize,
-        file: u32,
-        offset: u64,
-    ) -> io::Result<usize> {
-        self.maybe_hang();
-        let coalesce = self.cfg.copy_mode == CopyMode::ZeroCopy && !self.cfg.faults.is_armed();
-        let end = if coalesce {
-            write_run_len(
-                ops,
-                i,
-                file,
-                offset,
-                self.cfg.coalesce_max_bytes,
-                self.cfg.coalesce_max_ops,
-            )
-        } else {
-            i + 1
+    fn send(&mut self, dst: u32, tag: u64, data: Bytes) -> io::Result<()> {
+        self.send_as(self.rank, dst, tag, data)
+    }
+
+    fn recv(&mut self, src: u32, tag: u64) -> io::Result<Bytes> {
+        let (beat, abort) = (&self.beat, self.abort);
+        let alive = || {
+            beat.fetch_add(1, Ordering::Relaxed);
+            !abort.load(Ordering::Acquire)
         };
-        let total: u64 = ops[i..end].iter().map(|o| src_len(write_src(o))).sum();
-        counters::add_checkpoint_bytes(total);
-
-        if self.pipe.is_some() {
-            // Deferred flush: snapshot each source as owned `Bytes` so the
-            // background write never races with later staging reuse.
-            let f = Arc::clone(self.files.get(&file).expect("validated: opened"));
-            if end == i + 1 {
-                let data = self.resolve_owned(write_src(&ops[i]), offset);
-                self.submit(FlushJob::Write {
-                    file: f,
-                    offset,
-                    data,
-                })?;
-            } else {
-                let mut bufs = Vec::with_capacity(end - i);
-                let mut off = offset;
-                for o in &ops[i..end] {
-                    let s = write_src(o);
-                    bufs.push(self.resolve_owned(s, off));
-                    off += src_len(s);
-                }
-                self.submit(FlushJob::WriteV {
-                    file: f,
-                    offset,
-                    bufs,
-                })?;
-            }
-            return Ok(end);
-        }
-
-        if end == i + 1 {
-            // Serial single write: the write completes before the op
-            // retires, so ZeroCopy writes straight from the borrowed
-            // source — no snapshot at all.
-            match (self.cfg.copy_mode, write_src(&ops[i])) {
-                (CopyMode::ZeroCopy, &DataRef::Own { off, len }) => {
-                    let data = &self.payload[off as usize..(off + len) as usize];
-                    self.write_with_retry(file, offset, data)?;
-                }
-                (CopyMode::ZeroCopy, &DataRef::Staging { off, len }) => {
-                    let data = &self.staging[off as usize..(off + len) as usize];
-                    self.write_with_retry(file, offset, data)?;
-                }
-                (_, src) => {
-                    let data = self.resolve_owned(src, offset);
-                    self.write_with_retry(file, offset, &data)?;
-                }
-            }
-            return Ok(end);
-        }
-
-        // Serial coalesced run: gather borrowed slices (plus generated
-        // synthetic chunks) and issue one vectored write.
-        enum Chunk {
-            Payload(usize, usize),
-            Staging(usize, usize),
-            Owned(Bytes),
-        }
-        let mut chunks = Vec::with_capacity(end - i);
-        let mut off = offset;
-        for o in &ops[i..end] {
-            match *write_src(o) {
-                DataRef::Own { off: po, len } => {
-                    chunks.push(Chunk::Payload(po as usize, len as usize))
-                }
-                DataRef::Staging { off: so, len } => {
-                    chunks.push(Chunk::Staging(so as usize, len as usize))
-                }
-                DataRef::Synthetic { len } => chunks.push(Chunk::Owned(
-                    BufPool::global().from_fn(len as usize, |k| synthetic_byte(off + k as u64)),
-                )),
-            }
-            off += src_len(write_src(o));
-        }
-        let slices: Vec<&[u8]> = chunks
-            .iter()
-            .map(|c| match c {
-                Chunk::Payload(o, l) => &self.payload[*o..*o + *l],
-                Chunk::Staging(o, l) => &self.staging[*o..*o + *l],
-                Chunk::Owned(b) => b.as_ref(),
+        let timeout = self.timeout;
+        self.mailbox
+            .recv(src, tag, timeout, &alive)
+            .map_err(|w| match w {
+                Wait::Aborted => abort_error(),
+                Wait::Closed => io::Error::other("message channel closed"),
+                Wait::Timeout => io::Error::new(
+                    io::ErrorKind::TimedOut,
+                    format!(
+                        "recv timeout: no message from rank {src} tag {tag} \
+                         within {timeout:?} (lost handoff?)"
+                    ),
+                ),
             })
-            .collect();
-        let f = self.files.get(&file).expect("validated: opened");
-        match fault::write_vectored_at(
-            f,
-            self.rank,
-            offset,
-            &slices,
-            &self.cfg.faults,
-            self.cfg.write_retries,
-            self.cfg.retry_backoff,
-        ) {
-            Ok(attempts) => {
-                self.retries
-                    .fetch_add(u64::from(attempts), Ordering::Relaxed);
-                Ok(end)
+    }
+
+    fn barrier(&mut self, comm: u32, _members: &[u32]) -> io::Result<()> {
+        self.barriers[comm as usize].wait(self.abort, self.timeout)
+    }
+
+    /// The fence: a writer declared dead (whose extent a successor now
+    /// owns) must never publish, even if it revives after a hang. The
+    /// refusal is absorbed — the zombie skips the rename and retires.
+    fn commit_gate(&mut self, _file: u32) -> bool {
+        self.director.is_none_or(|d| d.allow_commit(self.rank))
+    }
+
+    fn stalled(&mut self, stall: Duration) {
+        if let Some(dir) = self.director {
+            match dir.policy().classify_stall(stall) {
+                WriterHealth::Dead => {
+                    let _ = dir.report_dead(self.rank);
+                }
+                WriterHealth::Straggling => dir.report_straggling(self.rank),
+                WriterHealth::Healthy => {}
             }
-            Err(fault::WriteError::Killed) => Err(killed_error(self.rank)),
-            Err(fault::WriteError::Io(e)) => Err(e),
-            Err(fault::WriteError::DeadlineExceeded { waited }) => Err(io::Error::new(
-                io::ErrorKind::TimedOut,
-                format!("write retries exhausted their deadline after {waited:?}"),
-            )),
-            Err(fault::WriteError::ShortWrite { written, expected }) => Err(io::Error::new(
-                io::ErrorKind::WriteZero,
-                format!("short write stalled at {written}/{expected} bytes"),
-            )),
+        }
+    }
+}
+
+/// Takeover transport: a surviving writer re-runs an orphan's op list.
+///
+/// Failover is pull-based: instead of replaying the messages the dead
+/// writer consumed, each `Recv` is resolved by scanning the sender's op
+/// list for the matching (FIFO per `(src, tag)`) `Send` and reading its
+/// `DataRef` straight out of that rank's shared payload. This is why
+/// takeover is only offered for plans without writer barriers whose
+/// inbound sends are payload- or synthetic-sourced (see
+/// [`failover_supported`]). Commits go through the director's
+/// per-extent CAS: exactly one rank ever publishes an orphan's file.
+struct Replay<'m, 'a> {
+    mesh: &'m Mesh<'a>,
+    orphan: u32,
+    dir: &'a FailoverDirector,
+    program: &'a Program,
+    payloads: &'a [Bytes],
+    /// FIFO scan positions into each sender's op list, per `(src, tag)`.
+    scan: HashMap<(u32, u64), usize>,
+}
+
+impl Transport for Replay<'_, '_> {
+    fn progress(&mut self) -> io::Result<()> {
+        if self.mesh.alive() {
+            Ok(())
+        } else {
+            Err(abort_error())
         }
     }
 
-    /// The tier stage `file` diverts into: staging must be configured
-    /// and the file atomic (non-atomic files always go to the PFS,
-    /// since only committed files are drain-publishable).
-    fn staged_for(&self, file: u32) -> Option<&Arc<crate::tier::TierStage>> {
-        let stage = self.cfg.stage.as_ref()?;
-        self.program.files[file as usize].atomic.then_some(stage)
+    /// Forward on the orphan's behalf (wave-chain tokens etc.); a
+    /// duplicate of a pre-death send parks harmlessly in the receiver's
+    /// stash.
+    fn send(&mut self, dst: u32, tag: u64, data: Bytes) -> io::Result<()> {
+        self.mesh.send_as(self.orphan, dst, tag, data)
     }
 
-    /// Divert the coalescible run of `WriteAt` ops starting at `ops[i]`
-    /// into the node-local tier stage; returns the first unconsumed
-    /// index. The slab append is the whole foreground cost — memory
-    /// speed. It deliberately skips the per-write fault hooks: the
-    /// staged path's failure mode is losing the tier
-    /// ([`crate::tier::TierEngine::lose_local`]), not a torn write.
-    fn stage_write_run(
-        &mut self,
-        ops: &[Op],
-        i: usize,
-        file: u32,
-        offset: u64,
-    ) -> io::Result<usize> {
-        self.maybe_hang();
-        let end = write_run_len(
-            ops,
-            i,
-            file,
-            offset,
-            self.cfg.coalesce_max_bytes,
-            self.cfg.coalesce_max_ops,
-        );
-        let total: u64 = ops[i..end].iter().map(|o| src_len(write_src(o))).sum();
-        counters::add_checkpoint_bytes(total);
-        let stage = Arc::clone(self.staged_for(file).expect("caller checked staged"));
-        let name = self.program.files[file as usize].name.clone();
-        let mut off = offset;
-        for o in &ops[i..end] {
-            let res = match *write_src(o) {
-                DataRef::Own { off: po, len } => {
-                    stage.append(&name, off, &self.payload[po as usize..(po + len) as usize])
-                }
-                DataRef::Staging { off: so, len } => {
-                    stage.append(&name, off, &self.staging[so as usize..(so + len) as usize])
-                }
-                DataRef::Synthetic { len } => {
-                    let data: Vec<u8> = (0..len).map(|k| synthetic_byte(off + k)).collect();
-                    stage.append(&name, off, &data)
-                }
-            };
-            res.map_err(io::Error::other)?;
-            off += src_len(write_src(o));
-        }
-        Ok(end)
-    }
-
-    /// Consult the one-shot hang fault for this rank, if armed. A hang
-    /// models a wedged writer: in production the thread genuinely sleeps
-    /// and the monitor watches its heartbeat go stale; under a controlled
-    /// scheduler wall-clock stalls would wreck determinism, so the rank
-    /// announces the monitor's verdict for the injected duration itself
-    /// and then yields so peers interleave. Either way the rank *revives*
-    /// afterwards and runs on as a zombie — the fence at `Commit` is what
-    /// keeps it from publishing.
-    fn maybe_hang(&mut self) {
-        let Some(d) = self.cfg.faults.take_hang(self.rank) else {
-            return;
+    fn recv(&mut self, src: u32, tag: u64) -> io::Result<Bytes> {
+        let orphan = self.orphan;
+        let pos = self.scan.entry((src, tag)).or_insert(0);
+        let sent = self.program.ops[src as usize][*pos..]
+            .iter()
+            .enumerate()
+            .find_map(|(k, o)| match o {
+                Op::Send {
+                    dst,
+                    tag: t,
+                    src: s,
+                } if *dst == orphan && t.0 == tag => Some((k, *s)),
+                _ => None,
+            });
+        let Some((k, sref)) = sent else {
+            return Err(io::Error::other(format!(
+                "takeover of rank {orphan}: no matching send from rank {src} tag {tag} in the plan"
+            )));
         };
-        if sched::registered() {
-            if let Some(dir) = self.director {
-                match dir.policy().classify_stall(d) {
-                    WriterHealth::Dead => {
-                        let _ = dir.report_dead(self.rank);
-                    }
-                    WriterHealth::Straggling => dir.report_straggling(self.rank),
-                    WriterHealth::Healthy => {}
-                }
+        *pos += k + 1;
+        match sref {
+            DataRef::Own { off, len } => {
+                Ok(Payload::Shared(&self.payloads[src as usize]).snapshot(off, len))
             }
-            for _ in 0..4 {
-                sched::yield_now(Point::Progress);
+            DataRef::Synthetic { len } => {
+                Ok(BufPool::global().from_fn(len as usize, |i| synthetic_byte(i as u64)))
             }
-        } else {
-            std::thread::sleep(d);
+            DataRef::Staging { .. } => Err(io::Error::other(format!(
+                "takeover of rank {orphan}: send from rank {src} is staging-sourced \
+                 (unsupported plan shape)"
+            ))),
         }
     }
 
-    fn submit(&self, job: FlushJob) -> io::Result<()> {
-        self.pipe
-            .as_ref()
-            .expect("pipelined path")
-            .submit(job)
-            .map_err(pipe_error)
+    fn barrier(&mut self, _comm: u32, _members: &[u32]) -> io::Result<()> {
+        Err(io::Error::other(format!(
+            "takeover of rank {} hit a barrier (unsupported plan shape)",
+            self.orphan
+        )))
     }
 
-    fn drain_pipe(&self) -> io::Result<()> {
-        if let Some(p) = &self.pipe {
-            let retried = p.drain().map_err(pipe_error)?;
-            self.retries.fetch_add(retried, Ordering::Relaxed);
-        }
-        Ok(())
-    }
-
-    /// Path a rank's file ops target: atomic files live under their `.tmp`
-    /// sibling until the owner's `Commit` renames them into place.
-    fn file_path(&self, file: u32) -> PathBuf {
-        let spec = &self.program.files[file as usize];
-        let path = self.cfg.base_dir.join(&spec.name);
-        if spec.atomic {
-            commit::tmp_path(&path)
-        } else {
-            path
-        }
-    }
-
-    fn write_with_retry(&self, file: u32, offset: u64, data: &[u8]) -> io::Result<()> {
-        let f = self.files.get(&file).expect("validated: opened");
-        match fault::write_at_with_retry(
-            f,
-            self.rank,
-            offset,
-            data,
-            &self.cfg.faults,
-            self.cfg.write_retries,
-            self.cfg.retry_backoff,
-        ) {
-            Ok(attempts) => {
-                self.retries
-                    .fetch_add(u64::from(attempts), Ordering::Relaxed);
-                Ok(())
-            }
-            Err(fault::WriteError::Killed) => Err(killed_error(self.rank)),
-            Err(fault::WriteError::Io(e)) => Err(e),
-            Err(fault::WriteError::DeadlineExceeded { waited }) => Err(io::Error::new(
-                io::ErrorKind::TimedOut,
-                format!("write retries exhausted their deadline after {waited:?}"),
-            )),
-            Err(fault::WriteError::ShortWrite { written, expected }) => Err(io::Error::new(
-                io::ErrorKind::WriteZero,
-                format!("short write stalled at {written}/{expected} bytes"),
-            )),
-        }
-    }
-
-    fn recv_matching(&mut self, src: u32, tag: u64) -> io::Result<Bytes> {
-        if let Some(q) = self.stash.get_mut(&(src, tag)) {
-            if let Some(d) = q.pop_front() {
-                return Ok(d);
-            }
-        }
-        if sched::registered() {
-            return self.recv_matching_controlled(src, tag);
-        }
-        let deadline = Instant::now() + self.cfg.recv_timeout;
-        loop {
-            // A rank blocked in a receive is alive, just waiting.
-            self.beat.fetch_add(1, Ordering::Relaxed);
-            if self.abort.load(Ordering::Acquire) {
-                return Err(abort_error());
-            }
-            let slice =
-                Duration::from_millis(25).min(deadline.saturating_duration_since(Instant::now()));
-            match self.rx.recv_timeout(slice) {
-                Ok((s, t, d)) => {
-                    if s == src && t == tag {
-                        return Ok(d);
-                    }
-                    self.stash.entry((s, t)).or_default().push_back(d);
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    return Err(io::Error::other("message channel closed"));
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    if Instant::now() >= deadline {
-                        return Err(io::Error::new(
-                            io::ErrorKind::TimedOut,
-                            format!(
-                                "recv timeout: no message from rank {src} tag {tag} \
-                                 within {:?} (lost handoff?)",
-                                self.cfg.recv_timeout
-                            ),
-                        ));
-                    }
-                }
-            }
-        }
-    }
-
-    /// Controlled-run receive: wall-clock timeouts would make schedules
-    /// nondeterministic, so a fixed futile-poll budget plays the role of
-    /// `recv_timeout`. Budget exhaustion is the *expected* outcome for
-    /// dropped-message fault programs and surfaces the same typed
-    /// `TimedOut` error as the production path.
-    fn recv_matching_controlled(&mut self, src: u32, tag: u64) -> io::Result<Bytes> {
-        let mut budget = CHECK_RECV_POLL_BUDGET;
-        loop {
-            if self.abort.load(Ordering::Acquire) {
-                return Err(abort_error());
-            }
-            match self.rx.try_recv() {
-                Ok((s, t, d)) => {
-                    if s == src && t == tag {
-                        return Ok(d);
-                    }
-                    self.stash.entry((s, t)).or_default().push_back(d);
-                }
-                Err(std::sync::mpsc::TryRecvError::Disconnected) => {
-                    return Err(io::Error::other("message channel closed"));
-                }
-                Err(std::sync::mpsc::TryRecvError::Empty) => {
-                    if budget == 0 {
-                        return Err(io::Error::new(
-                            io::ErrorKind::TimedOut,
-                            format!(
-                                "recv timeout: no message from rank {src} tag {tag} \
-                                 within {CHECK_RECV_POLL_BUDGET} controlled polls \
-                                 (lost handoff?)"
-                            ),
-                        ));
-                    }
-                    budget -= 1;
-                    sched::yield_now(Point::RecvEmpty);
-                }
-            }
-        }
-    }
-
-    /// Deadline-bounded send into `dst`'s bounded mailbox. A full
-    /// mailbox blocks the sender (that bounded wait *is* the
-    /// backpressure this PR's bugfix pins — resident queue bytes can
-    /// never exceed `chan_capacity` messages) until the receiver drains
-    /// a slot, the run aborts, or the deadline passes, in which case the
-    /// same typed `TimedOut` error as a receive timeout surfaces.
-    fn send_bounded(
-        &self,
-        dst: u32,
-        src_rank: u32,
-        tag: u64,
-        data: Bytes,
-    ) -> io::Result<SendOutcome> {
-        let mut msg = (src_rank, tag, data);
-        match self.senders[dst as usize].try_send(msg) {
-            Ok(()) => return Ok(SendOutcome::Sent),
-            Err(TrySendError::Disconnected(_)) => return Ok(SendOutcome::Disconnected),
-            Err(TrySendError::Full(m)) => msg = m,
-        }
-        counters::add_send_backpressure_blocks(1);
-        if sched::registered() {
-            // Controlled run: a futile-poll budget replaces the
-            // wall-clock deadline (see `recv_matching_controlled`).
-            let mut budget = CHECK_SEND_POLL_BUDGET;
-            loop {
-                if self.abort.load(Ordering::Acquire) {
-                    return Err(abort_error());
-                }
-                match self.senders[dst as usize].try_send(msg) {
-                    Ok(()) => return Ok(SendOutcome::Sent),
-                    Err(TrySendError::Disconnected(_)) => return Ok(SendOutcome::Disconnected),
-                    Err(TrySendError::Full(m)) => {
-                        if budget == 0 {
-                            counters::add_send_backpressure_timeouts(1);
-                            return Err(io::Error::new(
-                                io::ErrorKind::TimedOut,
-                                format!(
-                                    "send timeout: rank {dst}'s mailbox stayed full for \
-                                     {CHECK_SEND_POLL_BUDGET} controlled polls (stalled receiver?)"
-                                ),
-                            ));
-                        }
-                        budget -= 1;
-                        msg = m;
-                        sched::yield_now(Point::SendFull);
-                    }
-                }
-            }
-        }
-        let deadline = Instant::now() + self.cfg.recv_timeout;
-        loop {
-            // A rank blocked in a send is alive, just backpressured.
-            self.beat.fetch_add(1, Ordering::Relaxed);
-            if self.abort.load(Ordering::Acquire) {
-                return Err(abort_error());
-            }
-            match self.senders[dst as usize].try_send(msg) {
-                Ok(()) => return Ok(SendOutcome::Sent),
-                Err(TrySendError::Disconnected(_)) => return Ok(SendOutcome::Disconnected),
-                Err(TrySendError::Full(m)) => {
-                    if Instant::now() >= deadline {
-                        counters::add_send_backpressure_timeouts(1);
-                        return Err(io::Error::new(
-                            io::ErrorKind::TimedOut,
-                            format!(
-                                "send timeout: rank {dst}'s mailbox stayed full for {:?} \
-                                 (stalled receiver?)",
-                                self.cfg.recv_timeout
-                            ),
-                        ));
-                    }
-                    msg = m;
-                    std::thread::sleep(Duration::from_micros(100));
-                }
-            }
-        }
-    }
-
-    /// Re-execute the orphaned writer's op list on this (surviving) rank.
-    ///
-    /// Failover is pull-based: instead of replaying the messages the dead
-    /// writer consumed, the successor re-derives every byte from the
-    /// shared payload buffers — each `Recv` is resolved by scanning the
-    /// sender's op list for the matching (FIFO per `(src, tag)`) `Send`
-    /// and reading its `DataRef` straight out of that rank's payload.
-    /// This is why takeover is only offered for plans whose inbound sends
-    /// are payload- or synthetic-sourced (see [`failover_supported`]).
-    ///
-    /// Writes go through the serial fault-checked path under the
-    /// *successor's* rank identity, so cascading failures stay
-    /// injectable. The final `Commit` is guarded by the director's
-    /// per-extent CAS: exactly one rank ever publishes it.
-    fn run_takeover(&mut self, orphan: u32, dir: &FailoverDirector) -> io::Result<()> {
-        let program = self.program;
-        let ops = &program.ops[orphan as usize];
-        let payloads = self.all_payloads;
-        let mut staging = vec![0u8; program.staging[orphan as usize] as usize];
-        let mut files: HashMap<u32, File> = HashMap::new();
-        // FIFO scan positions into each sender's op list, per (src, tag).
-        let mut scan: HashMap<(u32, u64), usize> = HashMap::new();
-
-        fn bytes_of(payload: &Bytes, staging: &[u8], r: &DataRef, off_hint: u64) -> Vec<u8> {
-            match *r {
-                DataRef::Own { off, len } => payload[off as usize..(off + len) as usize].to_vec(),
-                DataRef::Staging { off, len } => {
-                    staging[off as usize..(off + len) as usize].to_vec()
-                }
-                DataRef::Synthetic { len } => {
-                    (0..len).map(|i| synthetic_byte(off_hint + i)).collect()
-                }
-            }
-        }
-
-        for op in ops {
-            sched::yield_now(Point::Progress);
-            self.beat.fetch_add(1, Ordering::Relaxed);
-            if self.abort.load(Ordering::Acquire) {
-                return Err(abort_error());
-            }
-            match op {
-                Op::Compute { .. } => {}
-                Op::Pack {
-                    src,
-                    staging_off,
-                    bytes,
-                } => {
-                    if let Some(s) = src {
-                        match *s {
-                            DataRef::Staging { off, len } => {
-                                counters::add_bytes_copied(len);
-                                staging.copy_within(
-                                    off as usize..(off + len) as usize,
-                                    *staging_off as usize,
-                                );
-                            }
-                            _ => {
-                                let d = bytes_of(&payloads[orphan as usize], &staging, s, 0);
-                                counters::add_bytes_copied(*bytes);
-                                staging[*staging_off as usize
-                                    ..*staging_off as usize + *bytes as usize]
-                                    .copy_from_slice(&d);
-                            }
-                        }
-                    }
-                }
-                Op::Send { dst, tag, src } => {
-                    // Forward on the orphan's behalf (wave-chain tokens
-                    // etc.). `Msg` carries the source rank, so the
-                    // receiver matches it as if the orphan had sent it; a
-                    // duplicate of a pre-death send parks harmlessly in
-                    // the receiver's stash.
-                    let d = bytes_of(&payloads[orphan as usize], &staging, src, 0);
-                    if !dir.is_fenced(*dst)
-                        && matches!(
-                            self.send_bounded(*dst, orphan, tag.0, Bytes::from_vec(d))?,
-                            SendOutcome::Disconnected
-                        )
-                        && !dir.is_fenced(*dst)
-                    {
-                        return Err(abort_error());
-                    }
-                }
-                Op::Recv {
-                    src,
-                    tag,
-                    bytes,
-                    staging_off,
-                } => {
-                    let pos = scan.entry((*src, tag.0)).or_insert(0);
-                    let sops = &program.ops[*src as usize];
-                    let mut found = None;
-                    while *pos < sops.len() {
-                        let j = *pos;
-                        *pos += 1;
-                        if let Op::Send {
-                            dst,
-                            tag: t2,
-                            src: s2,
-                        } = &sops[j]
-                        {
-                            if *dst == orphan && t2.0 == tag.0 {
-                                found = Some(*s2);
-                                break;
-                            }
-                        }
-                    }
-                    let Some(sref) = found else {
-                        return Err(io::Error::other(format!(
-                            "takeover of rank {orphan}: no matching send from rank {src} \
-                             tag {} in the plan",
-                            tag.0
-                        )));
-                    };
-                    if matches!(sref, DataRef::Staging { .. }) {
-                        return Err(io::Error::other(format!(
-                            "takeover of rank {orphan}: send from rank {src} is \
-                             staging-sourced (unsupported plan shape)"
-                        )));
-                    }
-                    let d = bytes_of(&payloads[*src as usize], &[], &sref, 0);
-                    if d.len() as u64 != *bytes {
-                        return Err(io::Error::other(format!(
-                            "takeover recv size mismatch: want {bytes}, got {}",
-                            d.len()
-                        )));
-                    }
-                    counters::add_bytes_copied(d.len() as u64);
-                    staging[*staging_off as usize..*staging_off as usize + d.len()]
-                        .copy_from_slice(&d);
-                }
-                Op::Barrier { .. } => {
-                    return Err(io::Error::other(format!(
-                        "takeover of rank {orphan} hit a barrier (unsupported plan shape)"
-                    )));
-                }
-                Op::Open { file, create } => {
-                    if self.staged_for(file.0).is_some() {
-                        continue;
-                    }
-                    let path = self.file_path(file.0);
-                    let f = if *create {
-                        if let Some(parent) = path.parent() {
-                            std::fs::create_dir_all(parent)?;
-                        }
-                        OpenOptions::new()
-                            .create(true)
-                            .truncate(true)
-                            .write(true)
-                            .read(true)
-                            .open(&path)?
-                    } else {
-                        OpenOptions::new().write(true).read(true).open(&path)?
-                    };
-                    files.insert(file.0, f);
-                }
-                Op::WriteAt { file, offset, src } => {
-                    let d = bytes_of(&payloads[orphan as usize], &staging, src, *offset);
-                    counters::add_checkpoint_bytes(d.len() as u64);
-                    if let Some(stage) = self.staged_for(file.0) {
-                        // Successor re-stages the orphan's extent into
-                        // the slab; the drain publishes it like any
-                        // other staged file.
-                        let name = &program.files[file.0 as usize].name;
-                        stage.append(name, *offset, &d).map_err(io::Error::other)?;
-                        continue;
-                    }
-                    let f = files.get(&file.0).expect("validated: opened");
-                    match fault::write_at_with_retry(
-                        f,
-                        self.rank,
-                        *offset,
-                        &d,
-                        &self.cfg.faults,
-                        self.cfg.write_retries,
-                        self.cfg.retry_backoff,
-                    ) {
-                        Ok(attempts) => {
-                            self.retries
-                                .fetch_add(u64::from(attempts), Ordering::Relaxed);
-                        }
-                        Err(fault::WriteError::Killed) => return Err(killed_error(self.rank)),
-                        Err(fault::WriteError::Io(e)) => return Err(e),
-                        Err(fault::WriteError::DeadlineExceeded { waited }) => {
-                            return Err(io::Error::new(
-                                io::ErrorKind::TimedOut,
-                                format!("write retries exhausted their deadline after {waited:?}"),
-                            ))
-                        }
-                        Err(fault::WriteError::ShortWrite { written, expected }) => {
-                            return Err(io::Error::new(
-                                io::ErrorKind::WriteZero,
-                                format!("short write stalled at {written}/{expected} bytes"),
-                            ))
-                        }
-                    }
-                }
-                Op::ReadAt {
-                    file,
-                    offset,
-                    len,
-                    staging_off,
-                } => {
-                    let f = files.get(&file.0).expect("validated: opened");
-                    let dst =
-                        &mut staging[*staging_off as usize..*staging_off as usize + *len as usize];
-                    f.read_exact_at(dst, *offset)?;
-                }
-                Op::Close { file } => {
-                    if let Some(f) = files.remove(&file.0) {
-                        if self.cfg.fsync_on_close {
-                            if let Some(e) = self.cfg.faults.on_fsync(self.rank) {
-                                return Err(e);
-                            }
-                            f.sync_all()
-                                .inspect_err(|_| self.cfg.faults.latch_fsync_failure(self.rank))?;
-                            crash::record_fsync_file(&f);
-                        }
-                    }
-                }
-                Op::Commit { file } => {
-                    if dir.begin_commit(orphan, file.0) {
-                        let spec = &program.files[file.0 as usize];
-                        if let Some(stage) = self.staged_for(file.0) {
-                            stage.seal_file(&spec.name, spec.size);
-                            continue;
-                        }
-                        let final_path = self.cfg.base_dir.join(&spec.name);
-                        let tmp = commit::tmp_path(&final_path);
-                        if self.cfg.faults.on_commit(self.rank) {
-                            return Err(killed_error(self.rank));
-                        }
-                        commit::commit_file_with_faults(
-                            &tmp,
-                            &final_path,
-                            spec.size,
-                            self.cfg.fsync_on_close,
-                            &self.cfg.faults,
-                            self.rank,
-                        )?;
-                        sched::emit(|| sched::Event::ExtentCommit {
-                            owner: orphan,
-                            by: self.rank,
-                            path_hash: sched::path_fingerprint(&final_path),
-                        });
-                    }
-                }
-            }
-        }
-        Ok(())
+    fn commit_gate(&mut self, file: u32) -> bool {
+        self.dir.begin_commit(self.orphan, file)
     }
 }
 
@@ -1531,14 +654,7 @@ pub fn execute(
     // Wrap each payload once; every rank-side reference is a refcounted
     // slice of this single allocation (no per-op copies under ZeroCopy).
     let payloads: Vec<Bytes> = payloads.into_iter().map(Bytes::from_vec).collect();
-
-    let mut txs = Vec::with_capacity(nranks);
-    let mut rxs = Vec::with_capacity(nranks);
-    for _ in 0..nranks {
-        let (tx, rx) = sync_channel::<Msg>(cfg.chan_capacity.max(1));
-        txs.push(tx);
-        rxs.push(Some(rx));
-    }
+    let (txs, mailboxes) = Mailbox::mesh(nranks, cfg.chan_capacity);
     let barriers: Vec<AbortBarrier> = program
         .comms
         .iter()
@@ -1561,6 +677,7 @@ pub fn execute(
     let director = (cfg.failover.enabled && failover_supported(program, &writers))
         .then(|| FailoverDirector::new(cfg.failover, writers.clone()));
     let director = director.as_ref();
+    let hedge_after = director.and_then(|d| d.enabled().then(|| d.policy().straggler_after));
     // Per-rank liveness heartbeats; `Arc` because the shared flush pool's
     // detached workers bump them too while draining a writer's jobs.
     let heartbeats: Vec<Arc<AtomicU64>> = (0..nranks).map(|_| Arc::default()).collect();
@@ -1580,9 +697,8 @@ pub fn execute(
             }
         }
         let mut handles = Vec::with_capacity(nranks);
-        for (rank, rx) in rxs.iter_mut().enumerate() {
-            let rx = rx.take().expect("receiver present");
-            let payload = &payloads[rank];
+        for (rank, mailbox) in mailboxes.into_iter().enumerate() {
+            let rank = rank as u32;
             let payloads = &payloads;
             let txs = &txs;
             let barriers = &barriers;
@@ -1590,7 +706,7 @@ pub fn execute(
             let abort = &abort;
             let retries = &retries;
             let ranks_alive = &ranks_alive;
-            let beat = Arc::clone(&heartbeats[rank]);
+            let beat = Arc::clone(&heartbeats[rank as usize]);
             if controlled {
                 sched::spawning();
             }
@@ -1598,65 +714,43 @@ pub fn execute(
                 if controlled {
                     sched::register(&format!("rank{rank}"));
                 }
-                let pipe = (cfg.pipeline_depth >= 2).then(|| {
-                    FlushPool::current().register(
-                        rank as u32,
-                        cfg.pipeline_depth,
-                        cfg.faults.clone(),
-                        WriterTuning {
-                            write_retries: cfg.write_retries,
-                            retry_backoff: cfg.retry_backoff,
-                            jitter_seed: cfg.pipeline_jitter,
-                            hedge_after: director
-                                .and_then(|d| d.enabled().then(|| d.policy().straggler_after)),
-                            beat: Some(Arc::clone(&beat)),
-                            backend: Some(crate::backend::resolve(cfg.io_backend)),
-                        },
-                    )
-                });
-                let mut ctx = RankCtx {
-                    rank: rank as u32,
-                    program,
-                    payload,
-                    all_payloads: payloads,
-                    staging: vec![0u8; program.staging[rank] as usize],
-                    rx,
-                    stash: HashMap::new(),
+                let pipe = vm::pipeline(rank, cfg, hedge_after, Some(Arc::clone(&beat)));
+                let payload = Payload::Shared(&payloads[rank as usize]);
+                let mut vm = RankVm::new(rank, rank, program, cfg, payload, pipe);
+                let mut mesh = Mesh {
+                    rank,
+                    mailbox,
                     senders: txs,
                     barriers,
-                    files: HashMap::new(),
-                    cfg,
                     abort,
-                    retries,
-                    pipe,
                     director,
                     beat,
+                    timeout: cfg.recv_timeout,
                 };
                 if !controlled {
                     // Registration already serializes controlled ranks;
                     // an OS barrier here would wedge the run token.
                     start_gate.wait();
                 }
-                let rank32 = rank as u32;
                 let t0 = Instant::now();
-                let mut res = ctx.run();
+                let mut res = vm.run(&mut mesh);
                 if let (Err(e), Some(dir)) = (&res, director) {
-                    if is_killed_error(e) {
+                    if fault::is_killed(e) {
                         // Quiesce this writer's pipeline *before* the
                         // death is announced, so a successor never races
                         // leftover background jobs.
-                        ctx.pipe.take();
-                        if dir.report_dead(rank32) {
+                        vm.pipe.take();
+                        if dir.report_dead(rank) {
                             // Failover engaged: the death is absorbed and
                             // a surviving writer re-stages the extent.
                             res = Ok(());
                         }
-                    } else if dir.is_fenced(rank32) {
+                    } else if dir.is_fenced(rank) {
                         // A fenced zombie's late errors are moot: workers
                         // reroute around it (its receives time out) and a
                         // successor owns its extent. Swallow them so the
                         // revived thread can't abort a healthy run.
-                        ctx.pipe.take();
+                        vm.pipe.take();
                         res = Ok(());
                     }
                 }
@@ -1665,39 +759,13 @@ pub fn execute(
                 // generation quiesces: every writer done or dead, every
                 // orphaned extent re-written and committed.
                 if let Some(dir) = director {
-                    if res.is_ok() && dir.is_writer(rank32) && !dir.is_fenced(rank32) {
-                        dir.mark_writer_done(rank32);
-                        loop {
-                            if abort.load(Ordering::Acquire) {
-                                break;
-                            }
-                            if let Some(orphan) = dir.claim_orphan(rank32) {
-                                match ctx.run_takeover(orphan, dir) {
-                                    Ok(()) => dir.orphan_completed(orphan),
-                                    Err(e) => {
-                                        if is_killed_error(&e) && {
-                                            ctx.pipe.take();
-                                            dir.report_dead(rank32)
-                                        } {
-                                            // Cascade: the successor died
-                                            // mid-takeover; the orphan is
-                                            // re-homed to the next survivor.
-                                        } else {
-                                            res = Err(e);
-                                        }
-                                        break;
-                                    }
-                                }
-                            } else if dir.quiesced() {
-                                break;
-                            } else if controlled {
-                                sched::yield_now(Point::JoinWait);
-                            } else {
-                                dir.wait_changed(Duration::from_millis(2));
-                            }
-                        }
+                    if res.is_ok() && dir.is_writer(rank) && !dir.is_fenced(rank) {
+                        dir.mark_writer_done(rank);
+                        let world = (program, cfg, payloads.as_slice());
+                        res = take_over_orphans(&mut vm, &mesh, dir, world, controlled);
                     }
                 }
+                retries.fetch_add(vm.retries, Ordering::Relaxed);
                 if res.is_err() {
                     // Release peers stuck in barriers/receives.
                     abort.store(true, Ordering::Release);
@@ -1705,16 +773,16 @@ pub fn execute(
                         b.wake();
                     }
                 }
-                let out = (dt, res);
                 // The writer handle must quiesce while this thread is
                 // still scheduled: its drop waits on in-flight jobs,
                 // which only make progress while the token circulates.
-                drop(ctx);
+                drop(vm);
+                drop(mesh);
                 ranks_alive.fetch_sub(1, Ordering::Release);
                 if controlled {
                     sched::unregister();
                 }
-                out
+                (dt, res)
             }));
         }
         if controlled {
@@ -1723,30 +791,22 @@ pub fn execute(
             }
         }
         for (rank, h) in handles.into_iter().enumerate() {
+            let rank = rank as u32;
             match h.join() {
-                Ok((dt, Ok(()))) => rank_times[rank] = dt,
+                Ok((dt, Ok(()))) => rank_times[rank as usize] = dt,
                 Ok((dt, Err(e))) => {
-                    rank_times[rank] = dt;
+                    rank_times[rank as usize] = dt;
                     let collateral = e.kind() == io::ErrorKind::Interrupted;
                     let slot = if collateral {
                         &mut first_collateral
                     } else {
                         &mut first_err
                     };
-                    if slot.is_none() {
-                        *slot = Some(ExecError::Io {
-                            rank: rank as u32,
-                            source: e,
-                        });
-                    }
+                    slot.get_or_insert(ExecError::Io { rank, source: e });
                 }
                 Err(_) => {
-                    if first_err.is_none() {
-                        first_err = Some(ExecError::Io {
-                            rank: rank as u32,
-                            source: io::Error::other("rank thread panicked"),
-                        });
-                    }
+                    let source = io::Error::other("rank thread panicked");
+                    first_err.get_or_insert(ExecError::Io { rank, source });
                 }
             }
         }
@@ -1769,10 +829,61 @@ pub fn execute(
     })
 }
 
+/// The successor epilogue of a surviving writer: claim orphaned extents
+/// and replay each dead writer's ops under this rank's identity (so
+/// cascading failures stay injectable), until the generation quiesces.
+fn take_over_orphans(
+    vm: &mut RankVm<'_>,
+    mesh: &Mesh<'_>,
+    dir: &FailoverDirector,
+    (program, cfg, payloads): (&Program, &ExecConfig, &[Bytes]),
+    controlled: bool,
+) -> io::Result<()> {
+    let rank = mesh.rank;
+    while !mesh.abort.load(Ordering::Acquire) {
+        if let Some(orphan) = dir.claim_orphan(rank) {
+            let mut replay = Replay {
+                mesh,
+                orphan,
+                dir,
+                program,
+                payloads,
+                scan: HashMap::new(),
+            };
+            let payload = Payload::Shared(&payloads[orphan as usize]);
+            let mut successor = RankVm::new(rank, orphan, program, cfg, payload, None);
+            let res = successor.run(&mut replay);
+            vm.retries += successor.retries;
+            match res {
+                Ok(()) => dir.orphan_completed(orphan),
+                // Cascade: the successor died mid-takeover; the orphan is
+                // re-homed to the next survivor.
+                Err(e)
+                    if fault::is_killed(&e) && {
+                        vm.pipe.take();
+                        dir.report_dead(rank)
+                    } =>
+                {
+                    return Ok(())
+                }
+                Err(e) => return Err(e),
+            }
+        } else if dir.quiesced() {
+            break;
+        } else if controlled {
+            sched::yield_now(Point::JoinWait);
+        } else {
+            dir.wait_changed(Duration::from_millis(2));
+        }
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use rbio_plan::{validate, CoverageMode, ProgramBuilder, Tag};
+    use rbio_profile::counters;
 
     fn tmpdir(name: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("rbio-exec-{name}-{}", std::process::id()));

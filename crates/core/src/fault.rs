@@ -410,6 +410,59 @@ pub enum WriteError {
     },
 }
 
+impl WriteError {
+    /// The `io::Error` a write by `rank` surfaces: a kill becomes
+    /// [`killed_error`], a spent retry deadline `TimedOut`, a stalled
+    /// partial write `WriteZero`. `what` names the write in messages
+    /// ("write", "metadata write").
+    pub fn into_io(self, rank: Rank, what: &str) -> io::Error {
+        match self {
+            WriteError::Killed => killed_error(rank),
+            WriteError::Io(e) => e,
+            WriteError::DeadlineExceeded { waited } => io::Error::new(
+                io::ErrorKind::TimedOut,
+                format!("{what} retries exhausted their deadline after {waited:?}"),
+            ),
+            WriteError::ShortWrite { written, expected } => io::Error::new(
+                io::ErrorKind::WriteZero,
+                format!("short {what} stalled at {written}/{expected} bytes"),
+            ),
+        }
+    }
+
+    /// Did fault injection kill the writing rank?
+    pub fn is_killed(&self) -> bool {
+        matches!(self, WriteError::Killed)
+    }
+}
+
+/// Error payload marking an injected rank death, so a kill is told apart
+/// from genuine I/O errors by type rather than by message text.
+#[derive(Debug)]
+struct Killed {
+    rank: Rank,
+}
+
+impl std::fmt::Display for Killed {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "fault injection: rank {} killed", self.rank)
+    }
+}
+
+impl std::error::Error for Killed {}
+
+/// The error a rank killed by fault injection fails with.
+pub fn killed_error(rank: Rank) -> io::Error {
+    io::Error::other(Killed { rank })
+}
+
+/// Was `e` produced by [`killed_error`] (an injected rank death)? Only
+/// killed ranks are eligible for failover absorption; I/O errors and
+/// timeouts are not.
+pub fn is_killed(e: &io::Error) -> bool {
+    e.get_ref().is_some_and(|p| p.is::<Killed>())
+}
+
 /// Errors worth retrying a write for (besides injected ones).
 fn is_transient(e: &io::Error) -> bool {
     matches!(
@@ -1025,6 +1078,29 @@ mod tests {
         p.latch_fsync_failure(1);
         assert!(p.on_fsync(1).is_some(), "latched rank can never sync clean");
         assert!(p.on_fsync(0).is_none());
+    }
+
+    #[test]
+    fn kills_classify_by_type_not_by_message() {
+        use crate::pipeline::PipelineError;
+        let serial = WriteError::Killed.into_io(3, "write");
+        let pipelined = io::Error::from(PipelineError::Killed { rank: 3 });
+        assert!(is_killed(&serial) && is_killed(&pipelined));
+        let others = [
+            WriteError::Io(io::Error::from_raw_os_error(5)).into_io(3, "write"),
+            WriteError::Io(io::Error::from_raw_os_error(28)).into_io(3, "write"),
+            WriteError::DeadlineExceeded {
+                waited: Duration::from_millis(5),
+            }
+            .into_io(3, "write"),
+            io::Error::from(PipelineError::Io(io::Error::from_raw_os_error(5))),
+            // Message text alone no longer makes a kill.
+            io::Error::other("fault injection: rank 3 killed"),
+        ];
+        for e in &others {
+            assert!(!is_killed(e), "{e} must not classify as a kill");
+        }
+        assert_eq!(others[2].kind(), io::ErrorKind::TimedOut);
     }
 
     #[test]

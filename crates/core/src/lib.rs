@@ -62,6 +62,7 @@ pub mod scrub;
 pub mod service;
 pub mod strategy;
 pub mod tier;
+mod vm;
 pub mod vtk;
 
 pub use layout::{DataLayout, FieldSpec};

@@ -34,7 +34,7 @@ use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, RwLock};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use rbio_plan::Rank;
 use rbio_profile::counters;
@@ -76,6 +76,15 @@ impl std::fmt::Display for PipelineError {
 }
 
 impl std::error::Error for PipelineError {}
+
+impl From<PipelineError> for io::Error {
+    fn from(e: PipelineError) -> io::Error {
+        match e {
+            PipelineError::Killed { rank } => fault::killed_error(rank),
+            PipelineError::Io(source) => source,
+        }
+    }
+}
 
 /// One unit of deferred writer work, executed in submission order.
 pub enum FlushJob {
@@ -213,6 +222,8 @@ struct HedgeSnapshot {
     file: Arc<File>,
     offset: u64,
     bufs: Vec<Bytes>,
+    /// When the job started running: the hedge deadline's origin.
+    started: Instant,
     /// A hedge was already issued for this job.
     hedged: bool,
 }
@@ -583,12 +594,20 @@ impl WriterHandle {
             let hedge = g.writers[self.wid].hedge_after;
             match hedge {
                 Some(after) if !sched::registered() => {
-                    let (ng, timed_out) =
-                        self.shared.done.wait_timeout(g, after).expect("pool lock");
-                    g = ng;
-                    if timed_out.timed_out() {
-                        g = self.hedge_current(g);
-                    }
+                    // The deadline runs from when the in-flight write
+                    // started, not from this wait: every writer's job
+                    // completion wakes the shared condvar, and restarting
+                    // the clock on each wake-up would never hedge on a
+                    // busy pool.
+                    let left = match &g.writers[self.wid].running {
+                        Some(s) if !s.hedged => after.saturating_sub(s.started.elapsed()),
+                        _ => after,
+                    };
+                    g = if left.is_zero() {
+                        self.hedge_current(g)
+                    } else {
+                        self.shared.done.wait_timeout(g, left).expect("pool lock").0
+                    };
                 }
                 _ => g = pool_wait(&self.shared, &self.shared.done, g, Point::DrainWait),
             }
@@ -740,12 +759,14 @@ fn worker_loop(shared: &Shared) {
                         file: Arc::clone(file),
                         offset: *offset,
                         bufs: vec![data.clone()],
+                        started: Instant::now(),
                         hedged: false,
                     }),
                     FlushJob::WriteV { file, offset, bufs } => Some(HedgeSnapshot {
                         file: Arc::clone(file),
                         offset: *offset,
                         bufs: bufs.clone(),
+                        started: Instant::now(),
                         hedged: false,
                     }),
                     FlushJob::Close { .. } | FlushJob::Commit { .. } => None,
@@ -794,17 +815,10 @@ fn splitmix64(mut x: u64) -> u64 {
 
 /// Map a fault-layer write failure into the pipeline's error space.
 fn write_error(rank: Rank, e: fault::WriteError) -> PipelineError {
-    match e {
-        fault::WriteError::Killed => PipelineError::Killed { rank },
-        fault::WriteError::Io(source) => PipelineError::Io(source),
-        fault::WriteError::DeadlineExceeded { waited } => PipelineError::Io(io::Error::new(
-            io::ErrorKind::TimedOut,
-            format!("write retries exhausted their deadline after {waited:?}"),
-        )),
-        fault::WriteError::ShortWrite { written, expected } => PipelineError::Io(io::Error::new(
-            io::ErrorKind::WriteZero,
-            format!("short write stalled at {written}/{expected} bytes"),
-        )),
+    if e.is_killed() {
+        PipelineError::Killed { rank }
+    } else {
+        PipelineError::Io(e.into_io(rank, "write"))
     }
 }
 
@@ -1116,6 +1130,72 @@ mod tests {
         let mut buf = [0u8; 16];
         file.read_exact_at(&mut buf, 0).expect("read");
         assert_eq!(buf, [7u8; 16]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn hedge_deadline_survives_wakeups_from_other_writers() {
+        // Writer A's write stalls 150 ms past a 10 ms hedge deadline while
+        // writer B, on the same pool, streams quick jobs whose completions
+        // keep waking A's drain. The hedge must still fire, so A's bytes
+        // land long before the stalled write itself returns.
+        let dir = tmpdir("hedge-busy");
+        let (fa, fb) = (open_rw(&dir.join("a")), open_rw(&dir.join("b")));
+        let pool = FlushPool::with_threads(2);
+        let tuning = |hedge_after| WriterTuning {
+            hedge_after,
+            backend: Some(backend::resolve(backend::BackendKind::Threaded)),
+            ..WriterTuning::default()
+        };
+        let delayed = FaultPlan::none().delay_writes(30, Duration::from_millis(150));
+        let a = pool.register(30, 2, delayed, tuning(Some(Duration::from_millis(10))));
+        let b = pool.register(31, 1, FaultPlan::none(), tuning(None));
+        let before = counters::failover_snapshot();
+        let stop = AtomicBool::new(false);
+        let landed = std::thread::scope(|s| {
+            s.spawn(|| {
+                while !stop.load(Ordering::Acquire) {
+                    let data = Bytes::from_vec(vec![1; 64]);
+                    let file = Arc::clone(&fb);
+                    b.submit(FlushJob::Write {
+                        file,
+                        offset: 0,
+                        data,
+                    })
+                    .expect("submit B");
+                }
+                b.drain().expect("drain B");
+            });
+            let t0 = Instant::now();
+            let data = Bytes::from_vec(vec![0xA5; 4096]);
+            let file = Arc::clone(&fa);
+            a.submit(FlushJob::Write {
+                file,
+                offset: 0,
+                data,
+            })
+            .expect("submit A");
+            let watch = s.spawn(move || loop {
+                let mut buf = vec![0u8; 4096];
+                let full = fa.read_exact_at(&mut buf, 0).is_ok();
+                if (full && buf.iter().all(|&x| x == 0xA5)) || t0.elapsed() > Duration::from_secs(2)
+                {
+                    return t0.elapsed();
+                }
+                std::thread::sleep(Duration::from_millis(1));
+            });
+            a.drain().expect("drain A");
+            stop.store(true, Ordering::Release);
+            watch.join().expect("watcher")
+        });
+        let delta = counters::failover_snapshot().delta_since(&before);
+        assert!(delta.hedged_jobs >= 1, "A's stalled write must be hedged");
+        assert!(
+            landed < Duration::from_millis(100),
+            "A's bytes landed after {landed:?}: the hedge never fired before the 150 ms write"
+        );
+        drop((a, b));
+        pool.shutdown();
         std::fs::remove_dir_all(&dir).ok();
     }
 

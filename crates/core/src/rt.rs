@@ -8,38 +8,35 @@
 //! [`checkpoint_rank`] collectively wherever it wants a checkpoint, with
 //! every rank executing exactly its own slice of the compiled plan.
 //!
-//! The semantics mirror the plan executor in [`crate::exec`] (nonblocking
-//! sends, FIFO matching per `(src, tag)` channel); a test asserts that a
-//! plan executed rank-by-rank under this runtime produces byte-identical
-//! files to [`crate::exec::execute`].
+//! [`checkpoint_rank`] runs the same rank interpreter as
+//! [`crate::exec::execute`] (the crate-private `vm` module), with the
+//! rank's [`Comm`] as its transport: plan messages travel in a reserved
+//! tag space and plan barriers are a tag fan-in over `comm`. Messages
+//! match FIFO per `(src, tag)` channel, through the same bounded mailbox
+//! type as `exec`'s mesh. A test asserts that a plan executed
+//! rank-by-rank under this runtime produces byte-identical files to
+//! `execute`.
 
-use std::collections::{HashMap, VecDeque};
-use std::fs::OpenOptions;
 use std::io;
-use std::os::unix::fs::FileExt;
-use std::path::{Path, PathBuf};
-use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TrySendError};
+use std::path::Path;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::SyncSender;
 use std::sync::{Arc, Barrier, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use rbio_plan::{DataRef, Op, Program};
-use rbio_profile::counters;
+use rbio_plan::Program;
 
-use crate::backend::BackendKind;
-use crate::buf::{BufPool, Bytes, CopyMode};
-use crate::commit;
-use crate::crash;
-use crate::exec::{
-    src_len, write_run_len, write_src, CHECK_RECV_POLL_BUDGET, CHECK_SEND_POLL_BUDGET,
-    DEFAULT_CHAN_CAPACITY,
-};
+use crate::buf::Bytes;
+use crate::exec::{ExecConfig, DEFAULT_CHAN_CAPACITY};
 use crate::failover::{FailoverPolicy, WriterHealth};
-use crate::fault::{self, FaultPlan};
-use crate::format::synthetic_byte;
-use crate::pipeline::{FlushJob, FlushPool, PipelineError, WriterHandle, WriterTuning};
+use crate::fault;
 use crate::sched::{self, Point};
+use crate::vm::{self, Mailbox, Msg, Payload, PlanMismatch, RankVm, Transport, Wait};
 
-type Msg = (u32, u64, Bytes);
+/// Tag space of plan barriers (`+ comm id`).
+const BARRIER_TAG_BASE: u64 = 1 << 62;
+/// Tag space of plan messages (`+ plan tag`).
+const PLAN_TAG_BASE: u64 = 1 << 61;
 
 /// A typed runtime failure, always carrying the failing rank.
 #[derive(Debug)]
@@ -150,8 +147,7 @@ pub struct Comm {
     rank: u32,
     size: u32,
     senders: Arc<Vec<SyncSender<Msg>>>,
-    rx: Receiver<Msg>,
-    stash: HashMap<(u32, u64), VecDeque<Bytes>>,
+    mailbox: Mailbox,
     world_barrier: Arc<Barrier>,
     reduce_slots: Arc<Vec<Mutex<Vec<f64>>>>,
     recv_timeout: Duration,
@@ -191,63 +187,20 @@ impl Comm {
     /// [`Comm::send`] for callers that already own the bytes: the buffer
     /// moves into the channel with no copy at all.
     pub fn send_bytes(&self, dst: u32, tag: u64, data: Bytes) -> Result<(), RtError> {
-        let peer_gone = || RtError::PeerGone {
-            rank: self.rank,
-            peer: dst,
-        };
-        let mut msg = (self.rank, tag, data);
-        match self.senders[dst as usize].try_send(msg) {
-            Ok(()) => return Ok(()),
-            Err(TrySendError::Disconnected(_)) => return Err(peer_gone()),
-            Err(TrySendError::Full(m)) => msg = m,
-        }
-        counters::add_send_backpressure_blocks(1);
-        if sched::registered() {
-            // Controlled run: a futile-poll budget replaces the
-            // wall-clock deadline (see `recv_bytes_controlled`).
-            let mut budget = CHECK_SEND_POLL_BUDGET;
-            loop {
-                match self.senders[dst as usize].try_send(msg) {
-                    Ok(()) => return Ok(()),
-                    Err(TrySendError::Disconnected(_)) => return Err(peer_gone()),
-                    Err(TrySendError::Full(m)) => {
-                        if budget == 0 {
-                            counters::add_send_backpressure_timeouts(1);
-                            return Err(RtError::SendTimeout {
-                                rank: self.rank,
-                                dst,
-                                tag,
-                                waited: self.recv_timeout,
-                            });
-                        }
-                        budget -= 1;
-                        msg = m;
-                        sched::yield_now(Point::SendFull);
-                    }
-                }
-            }
-        }
-        let start = Instant::now();
-        let deadline = start + self.recv_timeout;
-        loop {
-            match self.senders[dst as usize].try_send(msg) {
-                Ok(()) => return Ok(()),
-                Err(TrySendError::Disconnected(_)) => return Err(peer_gone()),
-                Err(TrySendError::Full(m)) => {
-                    if Instant::now() >= deadline {
-                        counters::add_send_backpressure_timeouts(1);
-                        return Err(RtError::SendTimeout {
-                            rank: self.rank,
-                            dst,
-                            tag,
-                            waited: start.elapsed(),
-                        });
-                    }
-                    msg = m;
-                    std::thread::sleep(Duration::from_micros(100));
-                }
-            }
-        }
+        let tx = &self.senders[dst as usize];
+        let msg = (self.rank, tag, data);
+        vm::send_bounded(tx, msg, self.recv_timeout, &|| true).map_err(|w| match w {
+            Wait::Timeout => RtError::SendTimeout {
+                rank: self.rank,
+                dst,
+                tag,
+                waited: self.recv_timeout,
+            },
+            Wait::Closed | Wait::Aborted => RtError::PeerGone {
+                rank: self.rank,
+                peer: dst,
+            },
+        })
     }
 
     /// Blocking receive matching `(src, tag)`, FIFO per channel. Fails
@@ -259,65 +212,16 @@ impl Comm {
     /// [`Comm::recv`] without the `Vec` conversion: the returned handle
     /// is the sender's buffer, not a copy.
     pub fn recv_bytes(&mut self, src: u32, tag: u64) -> Result<Bytes, RtError> {
-        if let Some(q) = self.stash.get_mut(&(src, tag)) {
-            if let Some(d) = q.pop_front() {
-                return Ok(d);
-            }
-        }
-        if sched::registered() {
-            return self.recv_bytes_controlled(src, tag);
-        }
-        let deadline = Instant::now() + self.recv_timeout;
-        loop {
-            let left = deadline.saturating_duration_since(Instant::now());
-            match self.rx.recv_timeout(left) {
-                Ok((s, t, d)) => {
-                    if s == src && t == tag {
-                        return Ok(d);
-                    }
-                    self.stash.entry((s, t)).or_default().push_back(d);
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    return Err(self.recv_timeout_error(src, tag));
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    return Err(RtError::PeerGone {
-                        rank: self.rank,
-                        peer: src,
-                    });
-                }
-            }
-        }
-    }
-
-    /// Controlled-run receive: wall-clock timeouts would make schedules
-    /// nondeterministic, so a fixed futile-poll budget plays the role of
-    /// `recv_timeout` and surfaces the same typed error.
-    fn recv_bytes_controlled(&mut self, src: u32, tag: u64) -> Result<Bytes, RtError> {
-        let mut budget = CHECK_RECV_POLL_BUDGET;
-        loop {
-            match self.rx.try_recv() {
-                Ok((s, t, d)) => {
-                    if s == src && t == tag {
-                        return Ok(d);
-                    }
-                    self.stash.entry((s, t)).or_default().push_back(d);
-                }
-                Err(std::sync::mpsc::TryRecvError::Disconnected) => {
-                    return Err(RtError::PeerGone {
-                        rank: self.rank,
-                        peer: src,
-                    });
-                }
-                Err(std::sync::mpsc::TryRecvError::Empty) => {
-                    if budget == 0 {
-                        return Err(self.recv_timeout_error(src, tag));
-                    }
-                    budget -= 1;
-                    sched::yield_now(Point::RecvEmpty);
-                }
-            }
-        }
+        let timeout = self.recv_timeout;
+        self.mailbox
+            .recv(src, tag, timeout, &|| true)
+            .map_err(|w| match w {
+                Wait::Timeout => self.recv_timeout_error(src, tag),
+                Wait::Closed | Wait::Aborted => RtError::PeerGone {
+                    rank: self.rank,
+                    peer: src,
+                },
+            })
     }
 
     /// The typed timeout error for a receive from `src`, classifying the
@@ -394,13 +298,7 @@ where
     F: Fn(Comm) -> T + Sync,
 {
     assert!(nranks >= 1);
-    let mut txs = Vec::with_capacity(nranks as usize);
-    let mut rxs = Vec::with_capacity(nranks as usize);
-    for _ in 0..nranks {
-        let (tx, rx) = sync_channel::<Msg>(chan_capacity.max(1));
-        txs.push(tx);
-        rxs.push(Some(rx));
-    }
+    let (txs, mailboxes) = Mailbox::mesh(nranks as usize, chan_capacity);
     let senders = Arc::new(txs);
     let world_barrier = Arc::new(Barrier::new(nranks as usize));
     let reduce_slots = Arc::new(vec![Mutex::new(vec![0.0; nranks as usize])]);
@@ -409,17 +307,16 @@ where
     // scope join while rank threads still need the run token: it spins
     // on this counter at a yield point first (see `exec::execute`).
     let controlled = sched::controlled();
-    let ranks_alive = std::sync::atomic::AtomicUsize::new(nranks as usize);
+    let ranks_alive = AtomicUsize::new(nranks as usize);
 
     std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(nranks as usize);
-        for (rank, rx) in rxs.iter_mut().enumerate() {
+        for (rank, mailbox) in mailboxes.into_iter().enumerate() {
             let comm = Comm {
                 rank: rank as u32,
                 size: nranks,
                 senders: Arc::clone(&senders),
-                rx: rx.take().expect("receiver"),
-                stash: HashMap::new(),
+                mailbox,
                 world_barrier: Arc::clone(&world_barrier),
                 reduce_slots: Arc::clone(&reduce_slots),
                 recv_timeout: Duration::from_secs(2),
@@ -435,14 +332,14 @@ where
                 }
                 let out = f(comm);
                 if controlled {
-                    ranks_alive.fetch_sub(1, std::sync::atomic::Ordering::Release);
+                    ranks_alive.fetch_sub(1, Ordering::Release);
                     sched::unregister();
                 }
                 out
             }));
         }
         if controlled {
-            while ranks_alive.load(std::sync::atomic::Ordering::Acquire) > 0 {
+            while ranks_alive.load(Ordering::Acquire) > 0 {
                 sched::yield_now(Point::JoinWait);
             }
         }
@@ -453,107 +350,49 @@ where
     })
 }
 
-/// Configuration for [`checkpoint_rank_with`]: target directory plus the
-/// same durability/fault/retry knobs as [`crate::exec::ExecConfig`].
-#[derive(Debug, Clone)]
-pub struct RtConfig {
-    /// Directory all plan file names are resolved against.
-    pub base_dir: PathBuf,
-    /// fsync files on close and fsync the commit footer + rename.
-    pub fsync_on_close: bool,
-    /// Faults to inject (inert by default).
-    pub faults: FaultPlan,
-    /// Retries per `WriteAt` on a transient error before giving up.
-    pub write_retries: u32,
-    /// Initial backoff between retries (doubles each attempt).
-    pub retry_backoff: Duration,
-    /// Outstanding background flush jobs per writer, served by the
-    /// shared [`FlushPool`] worker threads. `1` (default) is the serial
-    /// path; `≥ 2` overlaps aggregation with disk writes while keeping
-    /// output byte-identical (see [`crate::pipeline`]).
-    pub pipeline_depth: u32,
-    /// Seed-derived jitter before each background job, for deterministic
-    /// interleaving sweeps in equivalence tests.
-    pub pipeline_jitter: Option<u64>,
-    /// Datapath copy discipline — see [`crate::exec::ExecConfig::copy_mode`].
-    pub copy_mode: CopyMode,
-    /// When set, atomic plan files divert into this node-local tier
-    /// stage instead of the filesystem — see
-    /// [`crate::exec::ExecConfig::stage`].
-    pub stage: Option<Arc<crate::tier::TierStage>>,
-    /// I/O backend for the background flush pipeline — see
-    /// [`crate::exec::ExecConfig::io_backend`].
-    pub io_backend: BackendKind,
-    /// Cap on one coalesced vectored write, bytes — see
-    /// [`crate::exec::ExecConfig::coalesce_max_bytes`].
-    pub coalesce_max_bytes: u64,
-    /// Cap on chunks per coalesced vectored write.
-    pub coalesce_max_ops: usize,
-}
+/// A rank's [`Comm`] as the interpreter's transport: plan messages and
+/// barriers travel in reserved tag spaces.
+struct PlanComm<'c>(&'c mut Comm);
 
-impl RtConfig {
-    /// Config writing under `base_dir`, no fsync, no faults.
-    pub fn new(base_dir: impl AsRef<Path>) -> Self {
-        RtConfig {
-            base_dir: base_dir.as_ref().to_path_buf(),
-            fsync_on_close: false,
-            faults: FaultPlan::none(),
-            write_retries: 3,
-            retry_backoff: Duration::from_micros(500),
-            pipeline_depth: 1,
-            pipeline_jitter: None,
-            copy_mode: CopyMode::ZeroCopy,
-            stage: None,
-            io_backend: BackendKind::Default,
-            coalesce_max_bytes: crate::exec::DEFAULT_COALESCE_BYTES,
-            coalesce_max_ops: crate::exec::DEFAULT_COALESCE_OPS,
-        }
+impl Transport for PlanComm<'_> {
+    fn send(&mut self, dst: u32, tag: u64, data: Bytes) -> io::Result<()> {
+        self.0
+            .send_bytes(dst, PLAN_TAG_BASE + tag, data)
+            .map_err(io::Error::other)
     }
 
-    /// Cap coalesced vectored writes — see
-    /// [`crate::exec::ExecConfig::coalesce_caps`].
-    pub fn coalesce_caps(mut self, max_bytes: u64, max_ops: usize) -> Self {
-        self.coalesce_max_bytes = max_bytes.max(1);
-        self.coalesce_max_ops = max_ops.max(1);
-        self
+    fn recv(&mut self, src: u32, tag: u64) -> io::Result<Bytes> {
+        self.0
+            .recv_bytes(src, PLAN_TAG_BASE + tag)
+            .map_err(io::Error::other)
     }
 
-    /// Replace the fault plan.
-    pub fn faults(mut self, faults: FaultPlan) -> Self {
-        self.faults = faults;
-        self
-    }
-
-    /// Select the datapath copy discipline.
-    pub fn copy_mode(mut self, mode: CopyMode) -> Self {
-        self.copy_mode = mode;
-        self
-    }
-
-    /// Set the writer pipeline depth (1 = serial, 2 = double buffering).
-    pub fn pipeline_depth(mut self, depth: u32) -> Self {
-        self.pipeline_depth = depth.max(1);
-        self
-    }
-
-    /// Set the background-job jitter seed for interleaving sweeps.
-    pub fn pipeline_jitter(mut self, seed: u64) -> Self {
-        self.pipeline_jitter = Some(seed);
-        self
-    }
-
-    /// Stage atomic files into the node-local tier instead of the PFS.
-    pub fn stage(mut self, stage: Arc<crate::tier::TierStage>) -> Self {
-        self.stage = Some(stage);
-        self
-    }
-
-    /// Select the pipeline's I/O backend.
-    pub fn io_backend(mut self, kind: BackendKind) -> Self {
-        self.io_backend = kind;
-        self
+    /// Flat fan-in/fan-out over the group's first rank, on a per-comm
+    /// tag so concurrent groups stay independent.
+    fn barrier(&mut self, comm: u32, members: &[u32]) -> io::Result<()> {
+        let tag = BARRIER_TAG_BASE + u64::from(comm);
+        let (&leader, rest) = members.split_first().expect("nonempty communicator");
+        let c = &mut *self.0;
+        let res = if c.rank == leader {
+            rest.iter()
+                .try_for_each(|&m| c.recv_bytes(m, tag).map(drop))
+                .and_then(|()| {
+                    rest.iter()
+                        .try_for_each(|&m| c.send_bytes(m, tag, Bytes::new()))
+                })
+        } else {
+            c.send_bytes(leader, tag, Bytes::new())
+                .and_then(|()| c.recv_bytes(leader, tag).map(drop))
+        };
+        res.map_err(io::Error::other)
     }
 }
+
+/// Configuration for [`checkpoint_rank_with`]: the executor's
+/// [`ExecConfig`], since both run the same rank interpreter. Its
+/// `recv_timeout`, `failover` and `chan_capacity` configure `execute`'s
+/// mesh only; a runtime rank uses its [`Comm`]'s timeout and capacity.
+pub type RtConfig = ExecConfig;
 
 /// Execute `rank`'s ops of a checkpoint `program` inside an application
 /// thread, using its [`Comm`] for the messaging ops. Must be called by
@@ -561,9 +400,9 @@ impl RtConfig {
 /// like the strategies' MPI originals). `payload` is this rank's packed
 /// payload (see [`crate::format::materialize_payloads`]).
 ///
-/// Plan barriers use dedicated tags over `comm` (a flat fan-in/fan-out to
-/// the group's first rank), so they do not interfere with application
-/// messages as long as the application avoids tags ≥ 2⁶¹.
+/// Plan messages and barriers use dedicated tags over `comm`, so they do
+/// not interfere with application messages as long as the application
+/// avoids tags ≥ 2⁶¹.
 pub fn checkpoint_rank(
     comm: &mut Comm,
     program: &Program,
@@ -590,491 +429,30 @@ pub fn checkpoint_rank_with(
         payload.len() as u64 >= program.payload[rank as usize],
         "payload too small for rank {rank}"
     );
-    let io_err = |source: io::Error| RtError::Io { rank, source };
-    let base: PathBuf = cfg.base_dir.clone();
-    std::fs::create_dir_all(&base).map_err(io_err)?;
-    let mut staging = vec![0u8; program.staging[rank as usize] as usize];
-    let mut files: HashMap<u32, Arc<std::fs::File>> = HashMap::new();
-    const BARRIER_TAG_BASE: u64 = 1 << 62;
-    const PLAN_TAG_BASE: u64 = 1 << 61;
-
+    std::fs::create_dir_all(&cfg.base_dir).map_err(|source| RtError::Io { rank, source })?;
     // The "small worker thread pool behind rt": writer groups hand their
     // flushes to the shared pool so they progress concurrently with the
     // foreground aggregation of the next package.
-    let pipe: Option<WriterHandle> = (cfg.pipeline_depth >= 2).then(|| {
-        FlushPool::current().register(
-            rank,
-            cfg.pipeline_depth,
-            cfg.faults.clone(),
-            WriterTuning {
-                write_retries: cfg.write_retries,
-                retry_backoff: cfg.retry_backoff,
-                jitter_seed: cfg.pipeline_jitter,
-                backend: Some(crate::backend::resolve(cfg.io_backend)),
-                ..WriterTuning::default()
-            },
-        )
-    });
-    let pipe_err = |e: PipelineError| match e {
-        PipelineError::Killed { rank } => RtError::Killed { rank },
-        PipelineError::Io(source) => RtError::Io { rank, source },
-    };
-    let drain = |pipe: &Option<WriterHandle>| -> Result<(), RtError> {
-        match pipe {
-            Some(p) => p.drain().map(|_| ()).map_err(pipe_err),
-            None => Ok(()),
-        }
-    };
+    let pipe = vm::pipeline(rank, cfg, None, None);
+    let mut vm = RankVm::new(rank, rank, program, cfg, Payload::Borrowed(payload), pipe);
+    vm.run(&mut PlanComm(comm)).map_err(|e| rt_error(rank, e))
+}
 
-    let write_err = |e: fault::WriteError| match e {
-        fault::WriteError::Killed => RtError::Killed { rank },
-        fault::WriteError::Io(source) => RtError::Io { rank, source },
-        fault::WriteError::DeadlineExceeded { waited } => RtError::Io {
-            rank,
-            source: io::Error::new(
-                io::ErrorKind::TimedOut,
-                format!("write retries exhausted their deadline after {waited:?}"),
-            ),
-        },
-        fault::WriteError::ShortWrite { written, expected } => RtError::Io {
-            rank,
-            source: io::Error::new(
-                io::ErrorKind::WriteZero,
-                format!("short write stalled at {written}/{expected} bytes"),
-            ),
-        },
-    };
-
-    let mode = cfg.copy_mode;
-    // Owned snapshot of a data reference, for sends and deferred writes.
-    // Unlike `exec`, this runtime borrows `payload` from the application
-    // with an unknown lifetime, so owning payload bytes costs one copy —
-    // the MPI eager-buffer copy, charged to the counters honestly.
-    let resolve =
-        |r: &DataRef, staging: &[u8], off_hint: u64| -> Bytes {
-            match mode {
-                CopyMode::DeepCopy => {
-                    let v: Vec<u8> = match *r {
-                        DataRef::Own { off, len } => {
-                            counters::add_bytes_copied(len);
-                            payload[off as usize..(off + len) as usize].to_vec()
-                        }
-                        DataRef::Staging { off, len } => {
-                            counters::add_bytes_copied(len);
-                            staging[off as usize..(off + len) as usize].to_vec()
-                        }
-                        DataRef::Synthetic { len } => {
-                            (0..len).map(|i| synthetic_byte(off_hint + i)).collect()
-                        }
-                    };
-                    Bytes::from_vec(v)
-                }
-                CopyMode::ZeroCopy => match *r {
-                    DataRef::Own { off, len } => BufPool::global()
-                        .copy_from_slice(&payload[off as usize..(off + len) as usize]),
-                    DataRef::Staging { off, len } => BufPool::global()
-                        .copy_from_slice(&staging[off as usize..(off + len) as usize]),
-                    DataRef::Synthetic { len } => BufPool::global()
-                        .from_fn(len as usize, |i| synthetic_byte(off_hint + i as u64)),
-                },
-            }
-        };
-
-    let ops = &program.ops[rank as usize];
-    let mut i = 0;
-    while i < ops.len() {
-        sched::yield_now(Point::Progress);
-        let op = &ops[i];
-        match op {
-            Op::Compute { .. } => {}
-            Op::Pack {
-                src,
-                staging_off,
-                bytes,
-            } => {
-                if let Some(s) = src {
-                    match *s {
-                        DataRef::Staging { off, len } => {
-                            counters::add_bytes_copied(len);
-                            staging.copy_within(
-                                off as usize..(off + len) as usize,
-                                *staging_off as usize,
-                            )
-                        }
-                        _ => {
-                            let data = resolve(s, &staging, 0);
-                            counters::add_bytes_copied(*bytes);
-                            staging[*staging_off as usize..*staging_off as usize + *bytes as usize]
-                                .copy_from_slice(&data);
-                        }
-                    }
-                }
-            }
-            Op::Send { dst, tag, src } => {
-                let data = resolve(src, &staging, 0);
-                if cfg.faults.on_send(rank, *dst) {
-                    sched::emit(|| sched::Event::SendAttempt {
-                        rank,
-                        dst: *dst,
-                        op_index: i,
-                        dropped: true,
-                    });
-                    // Injected message loss: the receiver times out.
-                    // Advancing `i` here mirrors the PR 3 fix in `exec`:
-                    // the op must never re-execute after a drop.
-                    i += 1;
-                    continue;
-                }
-                sched::emit(|| sched::Event::SendAttempt {
-                    rank,
-                    dst: *dst,
-                    op_index: i,
-                    dropped: false,
-                });
-                comm.send_bytes(*dst, PLAN_TAG_BASE + tag.0, data)?;
-            }
-            Op::Recv {
-                src,
-                tag,
-                bytes,
-                staging_off,
-            } => {
-                let data = comm.recv_bytes(*src, PLAN_TAG_BASE + tag.0)?;
-                if data.len() as u64 != *bytes {
-                    return Err(RtError::PlanMismatch {
-                        rank,
-                        what: format!("plan recv size mismatch: want {bytes}, got {}", data.len()),
-                    });
-                }
-                // The one aggregation copy the plan IR mandates.
-                counters::add_bytes_copied(data.len() as u64);
-                staging[*staging_off as usize..*staging_off as usize + data.len()]
-                    .copy_from_slice(&data);
-            }
-            Op::Barrier { comm: cid } => {
-                // Pending flushes must land before this rank reports in:
-                // peers past the barrier may rely on our writes.
-                drain(&pipe)?;
-                sched::emit(|| sched::Event::BarrierEnter { rank });
-                // Flat fan-in/fan-out over the group's first rank, using a
-                // per-comm tag so concurrent groups stay independent.
-                let members = &program.comms[cid.0 as usize];
-                let leader = members[0];
-                let tag = BARRIER_TAG_BASE + u64::from(cid.0);
-                if rank == leader {
-                    for &m in members.iter().skip(1) {
-                        let _ = comm.recv_bytes(m, tag)?;
-                    }
-                    for &m in members.iter().skip(1) {
-                        comm.send_bytes(m, tag, Bytes::new())?;
-                    }
-                } else {
-                    comm.send_bytes(leader, tag, Bytes::new())?;
-                    let _ = comm.recv_bytes(leader, tag)?;
-                }
-            }
-            Op::Open { file, create } => {
-                let spec = &program.files[file.0 as usize];
-                if spec.atomic && cfg.stage.is_some() {
-                    // Tier-staged file: no filesystem object exists
-                    // until the drain engine publishes it.
-                    i += 1;
-                    continue;
-                }
-                let final_path = base.join(&spec.name);
-                // Atomic files live under their `.tmp` sibling until commit.
-                let path = if spec.atomic {
-                    commit::tmp_path(&final_path)
-                } else {
-                    final_path
-                };
-                let f = if *create {
-                    if let Some(parent) = path.parent() {
-                        std::fs::create_dir_all(parent).map_err(io_err)?;
-                    }
-                    OpenOptions::new()
-                        .create(true)
-                        .truncate(true)
-                        .write(true)
-                        .read(true)
-                        .open(&path)
-                        .map_err(io_err)?
-                } else {
-                    OpenOptions::new()
-                        .write(true)
-                        .read(true)
-                        .open(&path)
-                        .map_err(io_err)?
-                };
-                files.insert(file.0, Arc::new(f));
-            }
-            Op::WriteAt { file, offset, src } => {
-                let spec = &program.files[file.0 as usize];
-                if let Some(stage) = cfg.stage.as_ref().filter(|_| spec.atomic) {
-                    // Tier-staged: the slab append is the whole
-                    // foreground cost (memory speed); per-write fault
-                    // hooks don't apply — the staged path's failure
-                    // mode is losing the tier, not a torn write.
-                    let end = write_run_len(
-                        ops,
-                        i,
-                        file.0,
-                        *offset,
-                        cfg.coalesce_max_bytes,
-                        cfg.coalesce_max_ops,
-                    );
-                    let total: u64 = ops[i..end].iter().map(|o| src_len(write_src(o))).sum();
-                    counters::add_checkpoint_bytes(total);
-                    let mut off = *offset;
-                    for o in &ops[i..end] {
-                        let res = match *write_src(o) {
-                            DataRef::Own { off: po, len } => stage.append(
-                                &spec.name,
-                                off,
-                                &payload[po as usize..(po + len) as usize],
-                            ),
-                            DataRef::Staging { off: so, len } => stage.append(
-                                &spec.name,
-                                off,
-                                &staging[so as usize..(so + len) as usize],
-                            ),
-                            DataRef::Synthetic { len } => {
-                                let data: Vec<u8> =
-                                    (0..len).map(|k| synthetic_byte(off + k)).collect();
-                                stage.append(&spec.name, off, &data)
-                            }
-                        };
-                        res.map_err(|e| io_err(io::Error::other(e)))?;
-                        off += src_len(write_src(o));
-                    }
-                    i = end;
-                    continue;
-                }
-                // Coalesce byte-contiguous same-file writes into one
-                // vectored write (skipped when faults are armed: the
-                // FaultPlan counts logical writes per plan op, and under
-                // DeepCopy, which keeps the legacy one-op-one-write shape).
-                let coalesce = mode == CopyMode::ZeroCopy && !cfg.faults.is_armed();
-                let end = if coalesce {
-                    write_run_len(
-                        ops,
-                        i,
-                        file.0,
-                        *offset,
-                        cfg.coalesce_max_bytes,
-                        cfg.coalesce_max_ops,
-                    )
-                } else {
-                    i + 1
-                };
-                let total: u64 = ops[i..end].iter().map(|o| src_len(write_src(o))).sum();
-                counters::add_checkpoint_bytes(total);
-                let f = files
-                    .get(&file.0)
-                    .expect("validated plan opens before writing");
-                if let Some(p) = &pipe {
-                    // Deferred flush: snapshot each source as owned bytes
-                    // so the background write never races with later
-                    // Pack/Recv staging reuse.
-                    if end == i + 1 {
-                        let data = resolve(src, &staging, *offset);
-                        p.submit(FlushJob::Write {
-                            file: Arc::clone(f),
-                            offset: *offset,
-                            data,
-                        })
-                        .map_err(pipe_err)?;
-                    } else {
-                        let mut bufs = Vec::with_capacity(end - i);
-                        let mut off = *offset;
-                        for o in &ops[i..end] {
-                            let s = write_src(o);
-                            bufs.push(resolve(s, &staging, off));
-                            off += src_len(s);
-                        }
-                        p.submit(FlushJob::WriteV {
-                            file: Arc::clone(f),
-                            offset: *offset,
-                            bufs,
-                        })
-                        .map_err(pipe_err)?;
-                    }
-                } else if end == i + 1 {
-                    // Serial single write: completes before the op
-                    // retires, so ZeroCopy writes straight from the
-                    // borrowed source — no snapshot.
-                    match (mode, src) {
-                        (CopyMode::ZeroCopy, &DataRef::Own { off, len }) => {
-                            let data = &payload[off as usize..(off + len) as usize];
-                            fault::write_at_with_retry(
-                                f,
-                                rank,
-                                *offset,
-                                data,
-                                &cfg.faults,
-                                cfg.write_retries,
-                                cfg.retry_backoff,
-                            )
-                            .map_err(write_err)?;
-                        }
-                        (CopyMode::ZeroCopy, &DataRef::Staging { off, len }) => {
-                            let data = &staging[off as usize..(off + len) as usize];
-                            fault::write_at_with_retry(
-                                f,
-                                rank,
-                                *offset,
-                                data,
-                                &cfg.faults,
-                                cfg.write_retries,
-                                cfg.retry_backoff,
-                            )
-                            .map_err(write_err)?;
-                        }
-                        (_, s) => {
-                            let data = resolve(s, &staging, *offset);
-                            fault::write_at_with_retry(
-                                f,
-                                rank,
-                                *offset,
-                                &data,
-                                &cfg.faults,
-                                cfg.write_retries,
-                                cfg.retry_backoff,
-                            )
-                            .map_err(write_err)?;
-                        }
-                    }
-                } else {
-                    // Serial coalesced run: gather borrowed slices (plus
-                    // generated synthetic chunks), one vectored write.
-                    enum Chunk {
-                        Payload(usize, usize),
-                        Staging(usize, usize),
-                        Owned(Bytes),
-                    }
-                    let mut chunks = Vec::with_capacity(end - i);
-                    let mut off = *offset;
-                    for o in &ops[i..end] {
-                        match *write_src(o) {
-                            DataRef::Own { off: po, len } => {
-                                chunks.push(Chunk::Payload(po as usize, len as usize))
-                            }
-                            DataRef::Staging { off: so, len } => {
-                                chunks.push(Chunk::Staging(so as usize, len as usize))
-                            }
-                            DataRef::Synthetic { len } => chunks.push(Chunk::Owned(
-                                BufPool::global()
-                                    .from_fn(len as usize, |k| synthetic_byte(off + k as u64)),
-                            )),
-                        }
-                        off += src_len(write_src(o));
-                    }
-                    let slices: Vec<&[u8]> = chunks
-                        .iter()
-                        .map(|c| match c {
-                            Chunk::Payload(o, l) => &payload[*o..*o + *l],
-                            Chunk::Staging(o, l) => &staging[*o..*o + *l],
-                            Chunk::Owned(b) => b.as_ref(),
-                        })
-                        .collect();
-                    fault::write_vectored_at(
-                        f,
-                        rank,
-                        *offset,
-                        &slices,
-                        &cfg.faults,
-                        cfg.write_retries,
-                        cfg.retry_backoff,
-                    )
-                    .map_err(write_err)?;
-                }
-                i = end;
-                continue;
-            }
-            Op::ReadAt {
-                file,
-                offset,
-                len,
-                staging_off,
-            } => {
-                // Read-after-write: pending flushes must land first.
-                drain(&pipe)?;
-                let dst =
-                    &mut staging[*staging_off as usize..*staging_off as usize + *len as usize];
-                files
-                    .get(&file.0)
-                    .expect("validated plan opens before reading")
-                    .read_exact_at(dst, *offset)
-                    .map_err(io_err)?;
-            }
-            Op::Close { file } => {
-                if let Some(f) = files.remove(&file.0) {
-                    if let Some(p) = &pipe {
-                        p.submit(FlushJob::Close {
-                            file: f,
-                            fsync: cfg.fsync_on_close,
-                        })
-                        .map_err(pipe_err)?;
-                    } else if cfg.fsync_on_close {
-                        if let Some(e) = cfg.faults.on_fsync(rank) {
-                            return Err(io_err(e));
-                        }
-                        f.sync_all()
-                            .inspect_err(|_| cfg.faults.latch_fsync_failure(rank))
-                            .map_err(io_err)?;
-                        crash::record_fsync_file(&f);
-                    }
-                }
-            }
-            Op::Commit { file } => {
-                let spec = &program.files[file.0 as usize];
-                if let Some(stage) = cfg.stage.as_ref().filter(|_| spec.atomic) {
-                    // Sealing is the whole commit; the drain engine
-                    // publishes to the PFS in the background.
-                    stage.seal_file(&spec.name, spec.size);
-                    i += 1;
-                    continue;
-                }
-                let final_path = base.join(&spec.name);
-                let tmp = commit::tmp_path(&final_path);
-                if let Some(p) = &pipe {
-                    // Fault check and rename run inside the job, after
-                    // this writer's data writes (FIFO per writer) —
-                    // commit stays the last op on the owner.
-                    p.submit(FlushJob::Commit {
-                        tmp,
-                        final_path,
-                        size: spec.size,
-                        fsync: cfg.fsync_on_close,
-                    })
-                    .map_err(pipe_err)?;
-                } else {
-                    if cfg.faults.on_commit(rank) {
-                        // Die after the data writes, before the rename:
-                        // the final name must never appear.
-                        return Err(RtError::Killed { rank });
-                    }
-                    commit::commit_file_with_faults(
-                        &tmp,
-                        &final_path,
-                        spec.size,
-                        cfg.fsync_on_close,
-                        &cfg.faults,
-                        rank,
-                    )
-                    .map_err(io_err)?;
-                    sched::emit(|| sched::Event::ExtentCommit {
-                        owner: rank,
-                        by: rank,
-                        path_hash: sched::path_fingerprint(&final_path),
-                    });
-                }
-            }
-        }
-        i += 1;
+/// Recover the typed runtime error behind an interpreter failure.
+fn rt_error(rank: u32, e: io::Error) -> RtError {
+    if fault::is_killed(&e) {
+        return RtError::Killed { rank };
     }
-    drain(&pipe)?;
-    Ok(())
+    if let Some(m) = e.get_ref().and_then(|p| p.downcast_ref::<PlanMismatch>()) {
+        let what = format!("plan {m}");
+        return RtError::PlanMismatch { rank, what };
+    }
+    if !e.get_ref().is_some_and(|p| p.is::<RtError>()) {
+        return RtError::Io { rank, source: e };
+    }
+    *e.into_inner()
+        .and_then(|p| p.downcast::<RtError>().ok())
+        .expect("checked payload type")
 }
 
 #[cfg(test)]
@@ -1084,6 +462,8 @@ mod tests {
     use crate::format::materialize_payloads;
     use crate::layout::DataLayout;
     use crate::strategy::{CheckpointSpec, Strategy};
+    use rbio_profile::counters;
+    use std::path::PathBuf;
 
     fn tmpdir(name: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("rbio-rt-{name}-{}", std::process::id()));

@@ -6,6 +6,7 @@
 
 use std::time::Duration;
 
+use rbio_plan::Op;
 use rbio_profile::counters;
 use rbio_repro::rbio::exec::{execute, ExecConfig};
 use rbio_repro::rbio::failover::FailoverPolicy;
@@ -141,4 +142,74 @@ fn degraded_campaign_bumps_every_failover_counter_and_exports_them() {
     for d in [ref_dir, kill_dir, hang_dir, hedge_dir] {
         std::fs::remove_dir_all(&d).ok();
     }
+}
+
+/// Copies a plan makes a writer do into its staging image: `Pack`s from
+/// a source and `Recv`s, for the first `n` ops of `rank`.
+fn staging_copies(ops: &[Op], n: usize) -> u64 {
+    ops[..n]
+        .iter()
+        .map(|o| match o {
+            Op::Pack {
+                src: Some(_),
+                bytes,
+                ..
+            }
+            | Op::Recv { bytes, .. } => *bytes,
+            _ => 0,
+        })
+        .sum()
+}
+
+/// A takeover's copies are counted like any other rank's: the successor
+/// re-stages the orphan's whole extent, so a killed-writer run copies at
+/// least every survivor's staging image, the dead writer's copies before
+/// its first write, and the orphan's extent once more. A lower bound,
+/// because concurrent tests only add to the process-wide counter.
+#[test]
+fn takeover_copies_count_toward_bytes_copied() {
+    let layout = DataLayout::uniform(8, &[("Ex", 2048), ("Ey", 512)]);
+    let plan = CheckpointSpec::new(layout, "c001")
+        .strategy(Strategy::rbio(2))
+        .plan()
+        .expect("plan");
+    let ops = &plan.program.ops;
+    let writers: Vec<usize> = (0..ops.len())
+        .filter(|&r| ops[r].iter().any(|o| matches!(o, Op::Open { .. })))
+        .collect();
+    let dead = 4usize;
+    assert!(writers.contains(&dead), "rank 4 writes under rbIO(2)");
+    let first_write = ops[dead]
+        .iter()
+        .position(|o| matches!(o, Op::WriteAt { .. }))
+        .expect("writer writes");
+    let orphan_extent = staging_copies(&ops[dead], ops[dead].len());
+    let floor = writers
+        .iter()
+        .filter(|&&w| w != dead)
+        .map(|&w| staging_copies(&ops[w], ops[w].len()))
+        .sum::<u64>()
+        + staging_copies(&ops[dead], first_write)
+        + orphan_extent;
+
+    let dir = tmpdir("copies");
+    let mut cfg = ExecConfig::new(&dir);
+    cfg.faults = FaultPlan::none().kill_writer_after_bytes(dead as u32, 0);
+    cfg.failover = FailoverPolicy::from_recv_timeout(cfg.recv_timeout);
+    let before = counters::snapshot();
+    let rep = execute(&plan.program, materialize_payloads(&plan, fill), &cfg)
+        .expect("failover absorbs the death");
+    let delta = counters::snapshot().delta_since(&before);
+    assert!(
+        rep.failovers.iter().any(|&(d, _)| d == dead as u32),
+        "rank {dead}'s extent must have been taken over: {:?}",
+        rep.failovers
+    );
+    assert!(orphan_extent > 0);
+    assert!(
+        delta.bytes_copied >= floor,
+        "copied {} bytes, expected at least {floor} (orphan extent {orphan_extent})",
+        delta.bytes_copied
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }
