@@ -35,9 +35,6 @@ RBC=target/debug/rbio-check
 "$RBC" sweep --program p5 --seeds 256
 "$RBC" sweep --program p6 --seeds 16
 "$RBC" sweep --program p7 --seeds 16
-"$RBC" sweep --program p8a --seeds 16
-"$RBC" sweep --program p8b --seeds 16
-"$RBC" sweep --program p8c --seeds 16
 "$RBC" sweep --program p9a --seeds 32
 "$RBC" sweep --program p9b --seeds 32
 "$RBC" sweep --program p9c --seeds 32
@@ -57,9 +54,6 @@ SCRUB_DIR=$(mktemp -d)
 target/debug/rbio-scrub --dir "$SCRUB_DIR" --dry-run --json > /dev/null
 rm -rf "$SCRUB_DIR"
 
-echo "== backend conformance under the emulated ring =="
-RBIO_IO_BACKEND=ring cargo test -q -p rbio --test backend_conformance
-
 echo "== rbio-tune fast gate (small budget, winner in the Fig. 8 band) =="
 # The autotuner must rediscover the paper's nf ~= 1024 sweet spot on
 # the calibrated Intrepid model even under the small CI eval budget;
@@ -72,6 +66,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== fmt =="
 cargo fmt --check
+
+echo "== rustdoc (warnings are errors) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 if [[ "$SLOW" == 1 ]]; then
   echo "== test (release, --include-ignored) =="
@@ -88,9 +85,6 @@ if [[ "$SLOW" == 1 ]]; then
   "$RBC" sweep --program p5 --seeds 4096
   "$RBC" sweep --program p6 --seeds 256
   "$RBC" sweep --program p7 --seeds 256
-  "$RBC" sweep --program p8a --seeds 256
-  "$RBC" sweep --program p8b --seeds 256
-  "$RBC" sweep --program p8c --seeds 256
   "$RBC" sweep --program p9a --seeds 512
   "$RBC" sweep --program p9b --seeds 512
   "$RBC" sweep --program p9c --seeds 512
@@ -114,10 +108,6 @@ if [[ "$SLOW" == 1 ]]; then
   cp target/paper-results/crash.json BENCH_crash.json
   ls -l BENCH_crash.json
 
-  echo "== backend conformance under both backends (release) =="
-  cargo test --release -q -p rbio --test backend_conformance
-  RBIO_IO_BACKEND=ring cargo test --release -q -p rbio --test backend_conformance
-
   echo "== multi_step campaign (depth 2) =="
   cargo run --release -p rbio-bench --bin multi_step -- 16384 20 10 2
   ls -l target/paper-results/multi_step.json
@@ -131,11 +121,6 @@ if [[ "$SLOW" == 1 ]]; then
   cargo run --release -p rbio-bench --bin tiering -- 16384
   cp target/paper-results/tiering.json BENCH_tiering.json
   ls -l BENCH_tiering.json
-
-  echo "== backend ablation (threaded vs ring) =="
-  cargo run --release -p rbio-bench --bin backends
-  cp target/paper-results/backends.json BENCH_backends.json
-  ls -l BENCH_backends.json
 
   echo "== multi-tenant service stress (fairness pinned at <= 2x) =="
   cargo run --release -p rbio-bench --bin service

@@ -13,13 +13,13 @@
 
 use rbio_bench::experiments::nps_from_args;
 use rbio_bench::report::{check, print_table, FigureData, Series};
-use rbio_tune::{BackendKnob, Candidate, Env, MachineOracle, StrategyKind};
+use rbio_tune::{Candidate, Env, MachineOracle, StrategyKind};
 
 const NFS: [u32; 5] = [256, 512, 1024, 2048, 4096];
 
 /// The fixed-knob candidate matching the pre-tuner sweep: rbIO at
 /// `nf = ng`, planner `Tuning::default()` buffers, no flush pipeline
-/// (depth 1 — the backend model is cost-masked there), no tier.
+/// (depth 1), no tier.
 fn rbio_candidate(nf: u32) -> Candidate {
     Candidate {
         strategy: StrategyKind::RbIo,
@@ -28,8 +28,6 @@ fn rbio_candidate(nf: u32) -> Candidate {
         writer_buffer: 16 << 20,
         cb_buffer: 16 << 20,
         coalesce_fields: false,
-        backend: BackendKnob::Threaded,
-        backend_batch: 1,
         tier_drain_bw: None,
         coalesce_max_bytes: 8 << 20,
         coalesce_max_ops: 64,

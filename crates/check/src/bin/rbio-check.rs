@@ -3,9 +3,9 @@
 //! ```text
 //! rbio-check sweep  --program p1..p10|all [--seeds N] [--start S]
 //!                   [--preempt] [--stop-first] [--revert-pr2] [--revert-pr3]
-//!                   [--revert-pr5] [--revert-pr7]
+//!                   [--revert-pr5]
 //! rbio-check replay --program p1..p10 --schedule "a,b,c,..."
-//!                   [--revert-pr2] [--revert-pr3] [--revert-pr5] [--revert-pr7]
+//!                   [--revert-pr2] [--revert-pr3] [--revert-pr5]
 //!                   [--expect-violation]
 //! ```
 //!
@@ -24,9 +24,9 @@ fn usage(err: &str) -> ExitCode {
     eprintln!("usage:");
     eprintln!("  rbio-check sweep  --program <p1..p10|all> [--seeds N] [--start S]");
     eprintln!("                    [--preempt] [--stop-first] [--revert-pr2] [--revert-pr3]");
-    eprintln!("                    [--revert-pr5] [--revert-pr7]");
+    eprintln!("                    [--revert-pr5]");
     eprintln!("  rbio-check replay --program <p1..p10> --schedule \"name,name,...\"");
-    eprintln!("                    [--revert-pr2] [--revert-pr3] [--revert-pr5] [--revert-pr7]");
+    eprintln!("                    [--revert-pr2] [--revert-pr3] [--revert-pr5]");
     eprintln!("                    [--expect-violation]");
     eprintln!();
     for k in ProgramKind::all() {
@@ -95,9 +95,6 @@ fn parse_args() -> Result<Args, String> {
             }
             "--revert-pr5" => {
                 rbio::failover::REVERT_PR5_FENCE.store(true, Ordering::Relaxed);
-            }
-            "--revert-pr7" => {
-                rbio::backend::REVERT_PR7_EARLY_RECYCLE.store(true, Ordering::Relaxed);
             }
             other => return Err(format!("unknown flag '{other}'")),
         }

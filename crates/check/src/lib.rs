@@ -14,9 +14,9 @@
 //!   which is just the comma-joined thread-name trace a failing run
 //!   prints.
 //!
-//! At every scheduling point a shadow [`Model`] checks the pipeline's
-//! invariants (single drainer, per-writer FIFO, snapshot integrity,
-//! error latching, barrier drain, exactly-once sends). A run is a pure
+//! At every scheduling point a shadow [`Model`](model::Model) checks the
+//! pipeline's invariants (single drainer, per-writer FIFO, snapshot
+//! integrity, error latching, barrier drain, exactly-once sends). A run is a pure
 //! function of its policy, so `seed → violations` is reproducible and a
 //! failing seed's schedule can be pinned as a regression forever — see
 //! `tests/regressions.rs`, which replays the historical PR 2

@@ -26,11 +26,6 @@
 //! * **Durable implies drained** — a tiered generation is never marked
 //!   durable (manifest + marker published) while any staged extent has
 //!   not reached the PFS tier.
-//! * **Buffers live until reap** — a ring-backend SQE's payload
-//!   fingerprint at completion reap must equal its fingerprint at
-//!   submission (recycling a buffer while its completion is in flight is
-//!   the PR 7 early-release bug), and each submitted SQE is reaped
-//!   exactly once.
 //! * **Fsynced implies recoverable** — once a generation is published
 //!   with fsync on ([`Event::GenDurable`]), no later restore may return
 //!   an older step (PR 10 crash consistency: the fsync promise is the
@@ -76,13 +71,6 @@ pub enum ViolationKind {
     /// reached the PFS tier (the tier drain published the commit marker
     /// before finishing its PFS hops).
     DurableBeforeDrained,
-    /// A ring SQE's payload fingerprint changed between submission and
-    /// completion reap: its buffer was recycled while the completion was
-    /// still in flight (the PR 7 early-release bug).
-    EarlyBufferRelease,
-    /// A completion was reaped for an SQE that was never submitted, or
-    /// was reaped a second time (exactly-once delivery broke).
-    DuplicateReap,
     /// A restore returned a step older than the newest generation the
     /// API promised durable with fsync on (PR 10: the crash-consistency
     /// contract is that an fsynced generation survives and wins).
@@ -139,10 +127,6 @@ pub struct Model {
     /// drained to the PFS tier. A `TierDurable` for a step with a
     /// non-empty set here is the durable-before-drained violation.
     tier_pending: HashMap<u64, HashSet<u64>>,
-    /// Ring SQEs submitted and not yet reaped: `(wid, udata)` → payload
-    /// fingerprint at submission. The reap must find the same
-    /// fingerprint (buffers-live-until-reap) and find it exactly once.
-    ring_pending: HashMap<(usize, u64), u64>,
     /// Newest step published with fsync on: the durability floor any
     /// later restore must meet or beat (fsynced-implies-recoverable).
     durable_floor: Option<u64>,
@@ -406,40 +390,6 @@ impl Model {
                         );
                     }
                 }
-            }
-            Event::SubmitQueued { wid, udata, hash } => {
-                self.ring_pending.insert((wid, udata), hash);
-            }
-            Event::CompletionReaped {
-                wid,
-                udata,
-                hash,
-                ok: _,
-            } => match self.ring_pending.remove(&(wid, udata)) {
-                None => flag(
-                    ViolationKind::DuplicateReap,
-                    format!(
-                        "writer {wid}: completion {udata} reaped without a matching \
-                         submission (delivered twice or never queued)"
-                    ),
-                ),
-                Some(h) => {
-                    if h != hash {
-                        flag(
-                            ViolationKind::EarlyBufferRelease,
-                            format!(
-                                "writer {wid}: SQE {udata} payload fingerprint changed \
-                                 {h:#018x} -> {hash:#018x} between submit and reap — \
-                                 buffer recycled while its completion was in flight"
-                            ),
-                        );
-                    }
-                }
-            },
-            Event::SubmitBatched { .. } | Event::ShortWriteResubmit { .. } => {
-                // Informational: batch sizes and short-write continuations
-                // are legal; the continuation SQE re-enters via its own
-                // SubmitQueued/CompletionReaped pair.
             }
         }
     }
@@ -707,100 +657,6 @@ mod tests {
             },
         ]);
         assert!(v.is_empty(), "{v:?}");
-    }
-
-    #[test]
-    fn ring_buffer_lifetime_violations_detected() {
-        // A clean submit → reap pair (including a short-write
-        // continuation under a fresh udata) is silent.
-        let clean = feed(&[
-            Event::SubmitQueued {
-                wid: 0,
-                udata: 1,
-                hash: 0xAA,
-            },
-            Event::SubmitBatched { wid: 0, count: 1 },
-            Event::CompletionReaped {
-                wid: 0,
-                udata: 1,
-                hash: 0xAA,
-                ok: true,
-            },
-            Event::ShortWriteResubmit {
-                wid: 0,
-                udata: 1,
-                written: 3,
-                expected: 8,
-            },
-            Event::SubmitQueued {
-                wid: 0,
-                udata: 2,
-                hash: 0xAA,
-            },
-            Event::CompletionReaped {
-                wid: 0,
-                udata: 2,
-                hash: 0xAA,
-                ok: true,
-            },
-        ]);
-        assert!(clean.is_empty(), "{clean:?}");
-        // Fingerprint drift between submit and reap, then a second reap
-        // of the same udata.
-        let v = feed(&[
-            Event::SubmitQueued {
-                wid: 1,
-                udata: 1,
-                hash: 0xAA,
-            },
-            Event::CompletionReaped {
-                wid: 1,
-                udata: 1,
-                hash: 0xBB,
-                ok: true,
-            },
-            Event::CompletionReaped {
-                wid: 1,
-                udata: 1,
-                hash: 0xBB,
-                ok: true,
-            },
-        ]);
-        let kinds: Vec<ViolationKind> = v.iter().map(|x| x.kind).collect();
-        assert_eq!(
-            kinds,
-            vec![
-                ViolationKind::EarlyBufferRelease,
-                ViolationKind::DuplicateReap
-            ],
-            "{v:?}"
-        );
-        // The same udata on different writers is independent state.
-        let cross = feed(&[
-            Event::SubmitQueued {
-                wid: 0,
-                udata: 1,
-                hash: 0x11,
-            },
-            Event::SubmitQueued {
-                wid: 1,
-                udata: 1,
-                hash: 0x22,
-            },
-            Event::CompletionReaped {
-                wid: 1,
-                udata: 1,
-                hash: 0x22,
-                ok: true,
-            },
-            Event::CompletionReaped {
-                wid: 0,
-                udata: 1,
-                hash: 0x11,
-                ok: false,
-            },
-        ]);
-        assert!(cross.is_empty(), "{cross:?}");
     }
 
     #[test]

@@ -34,18 +34,6 @@
 //!   *degraded* generation: every file is re-read from its verified
 //!   burst copy and the restore matches an untiered reference
 //!   byte-for-byte.
-//! * `p8a` — the ring backend under permuted completion delivery plus an
-//!   injected short write: submission order must still win on disk and
-//!   the short op's continuation must fill the hole byte-for-byte
-//!   (PR 7 territory; `REVERT_PR7_EARLY_RECYCLE` gives buffers away
-//!   before reap, so the continuation has nothing to resubmit).
-//! * `p8b` — a persistently failing write in the middle of a ring batch:
-//!   the first failure in *submission* order must latch, later linked
-//!   ops cancel, and the trailing commit never publishes.
-//! * `p8c` — pooled staging buffers race late completions: the
-//!   foreground keeps leasing from the same private pool while a ring
-//!   batch is mid-reap, which must never observe a payload fingerprint
-//!   change between submit and reap.
 //! * `p9a` — the service admission gate under contention: one in-flight
 //!   slot and one queue slot raced by three sessions. On every schedule
 //!   at most one session is in flight, exactly one contender queues and
@@ -73,6 +61,7 @@
 //!
 //! [`WriterHandle`]: rbio::pipeline::WriterHandle
 //! [`SendAttempt`]: rbio::sched::Event::SendAttempt
+//! [`Event::GenDurable`]: rbio::sched::Event::GenDurable
 
 use std::fs::OpenOptions;
 use std::path::Path;
@@ -80,8 +69,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use rbio::backend::{RingBackend, RingConfig};
-use rbio::buf::{BufPool, Bytes, CopyMode};
+use rbio::buf::{Bytes, CopyMode};
 use rbio::exec::{execute, ExecConfig};
 use rbio::failover::FailoverPolicy;
 use rbio::fault::FaultPlan;
@@ -114,12 +102,6 @@ pub enum ProgramKind {
     TierDrain,
     /// `p7`: mid-drain local-tier loss, recovered from the burst tier.
     TierLoss,
-    /// `p8a`: ring completion reorder + short-write resubmit (PR 7).
-    RingEquiv,
-    /// `p8b`: persistent mid-batch write failure latching through a ring.
-    RingErrorLatch,
-    /// `p8c`: pooled buffers racing late ring completions.
-    RingRecycle,
     /// `p9a`: admission gate mutual exclusion / queue / reject (PR 9).
     ServiceAdmission,
     /// `p9b`: weighted fair-share grant bounds and liveness.
@@ -141,9 +123,6 @@ impl ProgramKind {
             "p5" => Some(ProgramKind::Failover),
             "p6" => Some(ProgramKind::TierDrain),
             "p7" => Some(ProgramKind::TierLoss),
-            "p8a" => Some(ProgramKind::RingEquiv),
-            "p8b" => Some(ProgramKind::RingErrorLatch),
-            "p8c" => Some(ProgramKind::RingRecycle),
             "p9a" => Some(ProgramKind::ServiceAdmission),
             "p9b" => Some(ProgramKind::ServiceFairShare),
             "p9c" => Some(ProgramKind::ServiceQos),
@@ -153,7 +132,7 @@ impl ProgramKind {
     }
 
     /// Every family, in sweep order.
-    pub fn all() -> [ProgramKind; 14] {
+    pub fn all() -> [ProgramKind; 11] {
         [
             ProgramKind::PipelineRace,
             ProgramKind::ExecEquiv,
@@ -162,9 +141,6 @@ impl ProgramKind {
             ProgramKind::Failover,
             ProgramKind::TierDrain,
             ProgramKind::TierLoss,
-            ProgramKind::RingEquiv,
-            ProgramKind::RingErrorLatch,
-            ProgramKind::RingRecycle,
             ProgramKind::ServiceAdmission,
             ProgramKind::ServiceFairShare,
             ProgramKind::ServiceQos,
@@ -182,9 +158,6 @@ impl ProgramKind {
             ProgramKind::Failover => "p5",
             ProgramKind::TierDrain => "p6",
             ProgramKind::TierLoss => "p7",
-            ProgramKind::RingEquiv => "p8a",
-            ProgramKind::RingErrorLatch => "p8b",
-            ProgramKind::RingRecycle => "p8c",
             ProgramKind::ServiceAdmission => "p9a",
             ProgramKind::ServiceFairShare => "p9b",
             ProgramKind::ServiceQos => "p9c",
@@ -202,13 +175,6 @@ impl ProgramKind {
             ProgramKind::Failover => "hung-writer failover vs. uninjected serial reference",
             ProgramKind::TierDrain => "tiered drain racing a local-tier restore",
             ProgramKind::TierLoss => "mid-drain local-tier loss recovered from the burst tier",
-            ProgramKind::RingEquiv => {
-                "ring completion reorder + short-write resubmit byte-identity"
-            }
-            ProgramKind::RingErrorLatch => {
-                "mid-batch write failure latching through ring completions"
-            }
-            ProgramKind::RingRecycle => "pooled staging buffers racing late ring completions",
             ProgramKind::ServiceAdmission => {
                 "service admission gate: mutual exclusion, FIFO queue, typed reject"
             }
@@ -266,248 +232,10 @@ pub fn prepare(kind: ProgramKind, dir: &Path) -> PreparedProgram {
         ProgramKind::Failover => prepare_failover(dir),
         ProgramKind::TierDrain => prepare_tier_drain(dir),
         ProgramKind::TierLoss => prepare_tier_loss(dir),
-        ProgramKind::RingEquiv => prepare_ring_equiv(dir),
-        ProgramKind::RingErrorLatch => prepare_ring_error_latch(dir),
-        ProgramKind::RingRecycle => prepare_ring_recycle(dir),
         ProgramKind::ServiceAdmission => prepare_service_admission(dir),
         ProgramKind::ServiceFairShare => prepare_service_fair_share(dir),
         ProgramKind::ServiceQos => prepare_service_qos(dir),
         ProgramKind::CrashRestore => prepare_crash_restore(dir),
-    }
-}
-
-/// The ring geometry the `p8` family drives: small enough to keep the
-/// schedule space tractable, deep enough that a whole batch of chunks
-/// is in flight at once with its completions permuted.
-fn check_ring() -> Arc<dyn rbio::backend::IoBackend> {
-    Arc::new(RingBackend::with_config(RingConfig {
-        depth: 8,
-        batch: 4,
-        completion_seed: 0x9E3779B97F4A7C15,
-    }))
-}
-
-/// Register a ring-backed writer on the controlled check pool.
-fn ring_writer(rank: u32, depth: u32, faults: FaultPlan) -> rbio::pipeline::WriterHandle {
-    FlushPool::current().register(
-        rank,
-        depth,
-        faults,
-        WriterTuning {
-            write_retries: 3,
-            retry_backoff: Duration::from_micros(500),
-            backend: Some(check_ring()),
-            ..WriterTuning::default()
-        },
-    )
-}
-
-/// `p8a`: six chunks through a ring-backed writer, with the third
-/// logical write injected short (a 100-byte prefix of 384). Completion
-/// delivery is permuted by the ring seed and interleaved by the
-/// controlled scheduler, but submission order must win on disk and the
-/// short write's continuation must fill the rest of its chunk. Under
-/// `REVERT_PR7_EARLY_RECYCLE` the buffers are given away before reap:
-/// the model flags the fingerprint drift and the unfillable hole
-/// surfaces as an `Equivalence` violation.
-fn prepare_ring_equiv(dir: &Path) -> PreparedProgram {
-    const CHUNK: usize = 384;
-    const NCHUNKS: usize = 6;
-    let path = dir.join("ring.bin");
-    let expected: Vec<u8> = (0..NCHUNKS)
-        .flat_map(|i| std::iter::repeat_n(b'a' + i as u8, CHUNK))
-        .collect();
-    let body_path = path.clone();
-    PreparedProgram {
-        body: Box::new(move || {
-            let file = Arc::new(
-                OpenOptions::new()
-                    .create(true)
-                    .truncate(true)
-                    .write(true)
-                    .open(&body_path)
-                    .map_err(|e| format!("open {}: {e}", body_path.display()))?,
-            );
-            let h = ring_writer(
-                0,
-                (NCHUNKS + 1) as u32,
-                FaultPlan::none().short_write(0, 2, 100),
-            );
-            for i in 0..NCHUNKS {
-                let data = Bytes::from_vec(vec![b'a' + i as u8; CHUNK]);
-                h.submit(FlushJob::Write {
-                    file: Arc::clone(&file),
-                    offset: (i * CHUNK) as u64,
-                    data,
-                })
-                .map_err(|e| format!("submit chunk {i}: {e:?}"))?;
-            }
-            drop(file);
-            h.drain().map_err(|e| format!("drain: {e:?}"))?;
-            Ok(())
-        }),
-        verify: Box::new(move || {
-            let got = std::fs::read(&path).map_err(|e| format!("read back: {e}"))?;
-            if got == expected {
-                Ok(())
-            } else if got.len() != expected.len() {
-                Err(format!(
-                    "ring.bin: got {} bytes, want {}",
-                    got.len(),
-                    expected.len()
-                ))
-            } else {
-                let hole = got
-                    .iter()
-                    .zip(&expected)
-                    .position(|(g, w)| g != w)
-                    .expect("lengths equal, bytes differ");
-                Err(format!(
-                    "ring.bin diverges at byte {hole}: a short write's \
-                     continuation never landed"
-                ))
-            }
-        }),
-    }
-}
-
-/// `p8b`: logical write 1 of a four-chunk ring batch fails on every
-/// attempt. Correct behavior: chunk 0 lands, the failure latches at the
-/// *submission*-order index no matter when its completion is delivered,
-/// the later linked ops cancel, and the trailing commit never publishes
-/// the final file. The surfaced error reaches the driver at `submit` or
-/// `drain` — whichever the schedule hits first.
-fn prepare_ring_error_latch(dir: &Path) -> PreparedProgram {
-    const CHUNK: usize = 256;
-    const NCHUNKS: usize = 4;
-    let tmp = dir.join("latch.bin.tmp");
-    let final_path = dir.join("latch.bin");
-    let body_tmp = tmp.clone();
-    let body_final = final_path.clone();
-    PreparedProgram {
-        body: Box::new(move || {
-            let file = Arc::new(
-                OpenOptions::new()
-                    .create(true)
-                    .truncate(true)
-                    .write(true)
-                    .open(&body_tmp)
-                    .map_err(|e| format!("open {}: {e}", body_tmp.display()))?,
-            );
-            let h = ring_writer(
-                0,
-                (NCHUNKS + 2) as u32,
-                FaultPlan::none().fail_nth_write(0, 1, u32::MAX),
-            );
-            let mut surfaced = false;
-            for i in 0..NCHUNKS {
-                let data = Bytes::from_vec(vec![b'a' + i as u8; CHUNK]);
-                let sub = h.submit(FlushJob::Write {
-                    file: Arc::clone(&file),
-                    offset: (i * CHUNK) as u64,
-                    data,
-                });
-                if sub.is_err() {
-                    surfaced = true;
-                    break;
-                }
-            }
-            drop(file);
-            if !surfaced {
-                surfaced = h
-                    .submit(FlushJob::Commit {
-                        tmp: body_tmp.clone(),
-                        final_path: body_final.clone(),
-                        size: (NCHUNKS * CHUNK) as u64,
-                        fsync: false,
-                    })
-                    .is_err();
-            }
-            if h.drain().is_err() {
-                surfaced = true;
-            }
-            if surfaced {
-                Ok(())
-            } else {
-                Err("persistently failing write 1 never surfaced an error".into())
-            }
-        }),
-        verify: Box::new(move || {
-            if final_path.exists() {
-                return Err(format!(
-                    "{} was published despite a latched write error",
-                    final_path.display()
-                ));
-            }
-            Ok(())
-        }),
-    }
-}
-
-/// `p8c`: chunks staged in a private [`BufPool`] and submitted through a
-/// ring-backed writer while the foreground keeps leasing new buffers
-/// from the same pool. Correct behavior: a slab returns to the free
-/// list only after its completion is reaped, so the later leases get
-/// fresh (or legitimately retired) slabs and every payload fingerprint
-/// matches between submit and reap. The early-release revert frees
-/// slabs mid-batch, so a foreground lease can overwrite bytes a pending
-/// completion still owns.
-fn prepare_ring_recycle(dir: &Path) -> PreparedProgram {
-    const CHUNK: usize = 320;
-    const NCHUNKS: usize = 6;
-    let path = dir.join("recycle.bin");
-    let expected: Vec<u8> = (0..NCHUNKS)
-        .flat_map(|i| std::iter::repeat_n(0x30 + i as u8, CHUNK))
-        .collect();
-    let body_path = path.clone();
-    PreparedProgram {
-        body: Box::new(move || {
-            let file = Arc::new(
-                OpenOptions::new()
-                    .create(true)
-                    .truncate(true)
-                    .write(true)
-                    .open(&body_path)
-                    .map_err(|e| format!("open {}: {e}", body_path.display()))?,
-            );
-            let pool = BufPool::new();
-            let h = ring_writer(
-                0,
-                (NCHUNKS + 1) as u32,
-                FaultPlan::none().short_write(0, 3, 64),
-            );
-            for i in 0..NCHUNKS {
-                // Lease from the pool *between* submits: under the
-                // revert, a slab freed by the mid-batch early release is
-                // handed right back here and overwritten while its
-                // completion (or short-write continuation) is pending.
-                let data = pool.from_fn(CHUNK, |_| 0x30 + i as u8);
-                h.submit(FlushJob::Write {
-                    file: Arc::clone(&file),
-                    offset: (i * CHUNK) as u64,
-                    data,
-                })
-                .map_err(|e| format!("submit chunk {i}: {e:?}"))?;
-            }
-            drop(file);
-            h.drain().map_err(|e| format!("drain: {e:?}"))?;
-            if pool.free_buffers() == 0 {
-                return Err("drained writer returned no slabs to the pool".into());
-            }
-            Ok(())
-        }),
-        verify: Box::new(move || {
-            let got = std::fs::read(&path).map_err(|e| format!("read back: {e}"))?;
-            if got == expected {
-                Ok(())
-            } else {
-                Err(format!(
-                    "recycle.bin: got {} bytes, want {} with per-chunk fill",
-                    got.len(),
-                    expected.len()
-                ))
-            }
-        }),
     }
 }
 

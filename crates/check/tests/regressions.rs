@@ -1,4 +1,4 @@
-//! Pinned-schedule regressions for the two races that were originally
+//! Pinned-schedule regressions for the races that were originally
 //! found (and fixed) by hand:
 //!
 //! * **PR 2** — `WriterHandle::submit` re-enqueued a writer already in
@@ -10,11 +10,6 @@
 //! * **PR 5** — without the commit fence, a writer declared dead and
 //!   taken over can revive from its hang and publish its extent anyway,
 //!   racing the successor's commit (fenced/double commit).
-//! * **PR 7** — the ring backend releasing buffer ownership at
-//!   execution time instead of completion-reap time: a reaped short
-//!   write has nothing left to resubmit (the file keeps a hole) and
-//!   pooled slabs go back for reuse while completions still reference
-//!   them.
 //!
 //! Each bug is re-introduced through its test-only revert switch; the
 //! explorer must find it, the found schedule must replay byte-for-byte,
@@ -27,7 +22,6 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
-use rbio::backend::REVERT_PR7_EARLY_RECYCLE;
 use rbio::exec::REVERT_PR3_FAULT_DROP;
 use rbio::failover::REVERT_PR5_FENCE;
 use rbio::pipeline::REVERT_PR2_DOUBLE_ENQUEUE;
@@ -188,73 +182,6 @@ fn pr5_unfenced_zombie_commit_is_found_replayed_and_fixed() {
 }
 
 #[test]
-fn pr7_early_buffer_release_is_found_replayed_and_fixed() {
-    let guard = RevertGuard::arm(&REVERT_PR7_EARLY_RECYCLE);
-
-    // With buffers given away before reap, every schedule that reaches
-    // the reap loop shows the fingerprint drift, and the short write's
-    // unfillable continuation leaves a byte hole — seed 0 suffices;
-    // sweep a few for good measure.
-    let result = sweep(ProgramKind::RingEquiv, 0..16, false, true);
-    let (seed, found) = result
-        .failures
-        .first()
-        .expect("a 16-seed sweep must catch the reverted early buffer release");
-    assert!(
-        has(found, ViolationKind::EarlyBufferRelease),
-        "seed {seed} failed without an EarlyBufferRelease violation: {:?}",
-        found.violations
-    );
-    assert!(
-        has(found, ViolationKind::Equivalence),
-        "seed {seed}: the lost continuation must leave a hole in the file: {:?}",
-        found.violations
-    );
-
-    let replay = run_one(ProgramKind::RingEquiv, Policy::pinned(&found.schedule()));
-    assert!(!replay.diverged, "pinned replay must fit the buggy run");
-    assert_eq!(replay.trace, found.trace, "schedule must replay exactly");
-    assert_eq!(replay.events, found.events, "events must replay exactly");
-    assert!(has(&replay, ViolationKind::EarlyBufferRelease));
-
-    // With ownership held until reap, the same schedule resubmits the
-    // short write and the bytes land intact.
-    guard.disarm();
-    let fixed = run_one(ProgramKind::RingEquiv, Policy::pinned(&found.schedule()));
-    assert!(
-        fixed.violations.is_empty(),
-        "fixed code must survive the bug schedule: {:?}",
-        fixed.violations
-    );
-    assert!(fixed.outcome.is_ok(), "{:?}", fixed.outcome);
-}
-
-/// The p8 event stream must actually carry the submission/completion
-/// transitions the model's buffers-live-until-reap check consumes —
-/// otherwise the property is vacuous. Also checks the short-write
-/// resubmission is visible.
-#[test]
-fn ring_runs_emit_submission_and_completion_events() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-
-    let probe = run_one(ProgramKind::RingEquiv, Policy::seeded(0));
-    assert!(probe.outcome.is_ok(), "{:?}", probe.outcome);
-    assert!(probe.violations.is_empty(), "{:?}", probe.violations);
-    for marker in [
-        "SubmitQueued",
-        "SubmitBatched",
-        "CompletionReaped",
-        "ShortWriteResubmit",
-    ] {
-        assert!(
-            probe.events.iter().any(|e| e.contains(marker)),
-            "ring run emitted no {marker} event — the buffer-lifetime \
-             property would be vacuous"
-        );
-    }
-}
-
-#[test]
 fn identical_policies_replay_byte_for_byte() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
 
@@ -283,9 +210,6 @@ fn seed_sweeps_are_clean_on_main() {
         (ProgramKind::Failover, 0..8),
         (ProgramKind::TierDrain, 0..8),
         (ProgramKind::TierLoss, 0..8),
-        (ProgramKind::RingEquiv, 0..8),
-        (ProgramKind::RingErrorLatch, 0..8),
-        (ProgramKind::RingRecycle, 0..8),
     ] {
         let r = sweep(kind, seeds, false, false);
         assert!(

@@ -1,47 +1,17 @@
-//! Pluggable I/O backends for the flush pipeline.
+//! The write seam of the flush pipeline.
 //!
-//! The paper's rbIO strategy hides the PFS path behind aggregation, but
-//! once staging and messaging overlap the flush threads, the raw write
-//! path itself becomes the ceiling: the [`crate::pipeline::FlushPool`]
-//! historically issued one blocking `pwrite` per job. An [`IoBackend`]
-//! owns submission and completion of that write work so the pool can
-//! drive either:
-//!
-//! * [`ThreadedBackend`] — the portable baseline: one blocking,
-//!   fault-checked, retried `pwrite`/`pwritev` per job (exactly the
-//!   pre-backend behavior), plus `pread`-based restart reads.
-//! * [`ring::RingBackend`] — an io_uring-style completion-queue backend:
-//!   multi-op submission batching, bounded in-flight depth, short-write
-//!   resubmission at reap time, and completion-driven buffer-ownership
-//!   release (a buffer's refcount may not drop until its completion has
-//!   been reaped). It runs over a portable ring-emulation layer
-//!   ([`ring::RingCore`]) so CI without io_uring still exercises the
-//!   exact submission/completion state machine; the real
-//!   `io_uring_setup`/`enter` syscalls sit behind the `io-uring` cargo
-//!   feature (see [`uring`]) with a runtime fallback to the emulation.
-//!
-//! ## Contract
-//!
-//! A backend executes one FIFO batch of write ops per call. Ops are
-//! *linked* (io_uring `IOSQE_IO_LINK` semantics): execution stops at the
-//! first op whose fault check or write fails, and every later op in the
-//! batch completes as canceled — never executed — so error latching and
-//! fault-plan byte accounting are identical to the serial path on every
-//! backend. Within an op, buffers land back to back at the op's offset.
-//!
-//! **Buffer ownership**: a backend takes ownership of each op's
-//! [`Bytes`] and may not drop them (returning pooled slabs for reuse)
-//! until the op's completion is reaped. The ring emulation re-hashes the
-//! held payload at reap time and reports it via
-//! [`Event::CompletionReaped`], so `rbio-check`'s shadow model catches
-//! any early release as a fingerprint mismatch.
-//!
-//! [`Event::CompletionReaped`]: crate::sched::Event::CompletionReaped
+//! Every write job a [`crate::pipeline::FlushPool`] runs goes through an
+//! [`IoBackend`]. The one implementation, [`ThreadedBackend`], issues one
+//! blocking, fault-checked, retried `pwrite`/`pwritev` per job. The
+//! paper's strategies win by aggregation and by taking writes off the
+//! compute ranks' critical path, not by how a writer submits its
+//! syscalls, and a measured completion-queue backend never beat this
+//! path on the real-executor benchmark (DESIGN.md §14). The trait stays
+//! so [`crate::crash::RecordingBackend`] can decorate the writer's
+//! durability edges.
 
 use std::fs::File;
 use std::io;
-use std::os::unix::fs::FileExt;
-use std::sync::atomic::AtomicBool;
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
@@ -50,46 +20,10 @@ use rbio_plan::Rank;
 use crate::buf::Bytes;
 use crate::fault::{self, FaultPlan, WriteError};
 
-pub mod ring;
-#[cfg(feature = "io-uring")]
-pub mod uring;
-
-mod mmapio;
-
-pub use ring::{RingBackend, RingConfig};
-
-/// Test-only regression switch: the ring backend releases its buffer
-/// ownership right after the execution phase instead of holding it
-/// until the completion is reaped. A reaped short write then cannot be
-/// resubmitted (the bytes are gone — in a real premature release they
-/// would already belong to someone else), so the file keeps a hole and
-/// the `p8a` rbio-check family flags the divergence. Must never be set
-/// outside tests.
-#[doc(hidden)]
-pub static REVERT_PR7_EARLY_RECYCLE: AtomicBool = AtomicBool::new(false);
-
-/// Which backend a config knob selects. The indirection (rather than an
-/// `Arc<dyn IoBackend>` in every config struct) keeps `ExecConfig` and
-/// `RtConfig` `Debug + Clone`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BackendKind {
-    /// Process default: `RBIO_IO_BACKEND=ring|threaded` if set, else
-    /// threaded.
-    #[default]
-    Default,
-    /// The blocking per-job baseline.
-    Threaded,
-    /// The completion-queue backend (emulated ring; real io_uring with
-    /// the `io-uring` feature where the kernel allows it).
-    Ring,
-}
-
 /// Immutable per-writer execution context a backend runs under.
 pub struct IoCtx<'a> {
-    /// The writer's rank (fault-plan key and event payload).
+    /// The writer's rank (fault-plan key).
     pub rank: Rank,
-    /// Pool slot index, carried into submission/completion events.
-    pub wid: usize,
     /// Fault-injection plan consulted before every logical write.
     pub faults: &'a FaultPlan,
     /// Retry budget per logical write.
@@ -98,194 +32,89 @@ pub struct IoCtx<'a> {
     pub retry_backoff: Duration,
 }
 
-/// One write op handed to a backend: `bufs` land back to back at
-/// `offset`. A single-buffer op is a plain `pwrite`; multi-buffer ops
-/// are one *logical* write for fault accounting (the executors only
-/// coalesce when no faults are armed).
-pub struct WriteOp {
-    /// Open target file (the `.tmp` sibling for atomic files).
-    pub file: Arc<File>,
-    /// Absolute file offset of the first buffer.
-    pub offset: u64,
-    /// The payload, snapshotted at submit time.
-    pub bufs: Vec<Bytes>,
-}
-
-impl WriteOp {
-    /// Total payload length.
-    pub fn len(&self) -> u64 {
-        self.bufs.iter().map(|b| b.len() as u64).sum()
-    }
-
-    /// True when the op carries no bytes.
-    pub fn is_empty(&self) -> bool {
-        self.bufs.iter().all(|b| b.is_empty())
-    }
-}
-
-/// What one batch execution produced.
-pub struct BatchOutcome {
-    /// Retried write attempts accumulated across the batch.
-    pub retries: u32,
-    /// First failure in submission order, if any. Ops after index
-    /// `error.0` were canceled, never executed (linked-op semantics).
-    pub error: Option<(usize, WriteError)>,
-}
-
-impl BatchOutcome {
-    fn ok(retries: u32) -> BatchOutcome {
-        BatchOutcome {
-            retries,
-            error: None,
-        }
-    }
-}
-
-/// A submission/completion engine for writer I/O. Implementations must
-/// be shareable across pool threads (`Send + Sync`); per-batch state
-/// lives on the caller's stack, not in the backend.
+/// Writer I/O for the flush pool. Implementations must be shareable
+/// across pool threads (`Send + Sync`).
 pub trait IoBackend: Send + Sync {
-    /// Stable name, for reports and BENCH artifacts.
-    fn name(&self) -> &'static str;
-
-    /// Upper bound on write ops per submitted batch (1 = no batching).
-    fn max_batch(&self) -> usize {
-        1
-    }
-
-    /// Execute `ops` FIFO with linked-op semantics (see module docs).
-    fn run_writes(&self, ctx: &IoCtx<'_>, ops: Vec<WriteOp>) -> BatchOutcome;
+    /// Write `bufs` back to back at `offset` as one logical write (one
+    /// fault-plan write; the executors only submit several buffers when
+    /// no faults are armed). Returns the retried attempts.
+    fn write(
+        &self,
+        ctx: &IoCtx<'_>,
+        file: &File,
+        offset: u64,
+        bufs: &[Bytes],
+    ) -> Result<u32, WriteError>;
 
     /// Flush `file`'s data and metadata (close/commit durability).
     fn sync_file(&self, file: &File) -> io::Result<()> {
         file.sync_all()
     }
-
-    /// Read `len` bytes at `offset` (the restart path). Must fail if
-    /// fewer than `len` bytes exist.
-    fn read_at(&self, file: &File, offset: u64, len: usize) -> io::Result<Bytes>;
 }
 
-/// The portable baseline: one blocking, fault-checked, retried
-/// positional write per op — byte-for-byte the pre-backend flush path.
+/// One blocking, fault-checked, retried positional write per job.
 pub struct ThreadedBackend;
 
 impl IoBackend for ThreadedBackend {
-    fn name(&self) -> &'static str {
-        "threaded"
-    }
-
-    fn run_writes(&self, ctx: &IoCtx<'_>, ops: Vec<WriteOp>) -> BatchOutcome {
-        let mut retries = 0u32;
-        for (i, op) in ops.into_iter().enumerate() {
-            let res = if op.bufs.len() == 1 {
-                fault::write_at_with_retry(
-                    &op.file,
-                    ctx.rank,
-                    op.offset,
-                    &op.bufs[0],
-                    ctx.faults,
-                    ctx.write_retries,
-                    ctx.retry_backoff,
-                )
-            } else {
-                let slices: Vec<&[u8]> = op.bufs.iter().map(|b| b.as_ref()).collect();
-                fault::write_vectored_at(
-                    &op.file,
-                    ctx.rank,
-                    op.offset,
-                    &slices,
-                    ctx.faults,
-                    ctx.write_retries,
-                    ctx.retry_backoff,
-                )
-            };
-            match res {
-                Ok(attempts) => retries += attempts,
-                Err(e) => {
-                    return BatchOutcome {
-                        retries,
-                        error: Some((i, e)),
-                    }
-                }
-            }
+    fn write(
+        &self,
+        ctx: &IoCtx<'_>,
+        file: &File,
+        offset: u64,
+        bufs: &[Bytes],
+    ) -> Result<u32, WriteError> {
+        if let [data] = bufs {
+            fault::write_at_with_retry(
+                file,
+                ctx.rank,
+                offset,
+                data,
+                ctx.faults,
+                ctx.write_retries,
+                ctx.retry_backoff,
+            )
+        } else {
+            let slices: Vec<&[u8]> = bufs.iter().map(|b| b.as_ref()).collect();
+            fault::write_vectored_at(
+                file,
+                ctx.rank,
+                offset,
+                &slices,
+                ctx.faults,
+                ctx.write_retries,
+                ctx.retry_backoff,
+            )
         }
-        BatchOutcome::ok(retries)
-    }
-
-    fn read_at(&self, file: &File, offset: u64, len: usize) -> io::Result<Bytes> {
-        let mut v = vec![0u8; len];
-        file.read_exact_at(&mut v, offset)?;
-        Ok(Bytes::from_vec(v))
     }
 }
-
-static THREADED: OnceLock<Arc<dyn IoBackend>> = OnceLock::new();
-static RING: OnceLock<Arc<dyn IoBackend>> = OnceLock::new();
 
 /// The shared [`ThreadedBackend`] instance.
 pub fn threaded() -> Arc<dyn IoBackend> {
+    static THREADED: OnceLock<Arc<dyn IoBackend>> = OnceLock::new();
     Arc::clone(THREADED.get_or_init(|| Arc::new(ThreadedBackend)))
-}
-
-/// The shared default-configuration ring backend. With the `io-uring`
-/// feature this probes the kernel once and uses real io_uring syscalls
-/// when available, falling back to the emulation (containers commonly
-/// seccomp-block `io_uring_setup`); without the feature it is always
-/// the emulation.
-pub fn ring_default() -> Arc<dyn IoBackend> {
-    Arc::clone(RING.get_or_init(|| {
-        #[cfg(feature = "io-uring")]
-        if uring::kernel_supported() {
-            return Arc::new(uring::UringBackend::with_config(ring::RingConfig::default()))
-                as Arc<dyn IoBackend>;
-        }
-        Arc::new(ring::RingBackend::with_config(ring::RingConfig::default()))
-    }))
-}
-
-/// Resolve a config knob to a backend instance. [`BackendKind::Default`]
-/// honors `RBIO_IO_BACKEND` (`ring` or `threaded`), so the whole test
-/// suite can be re-run under the ring backend without touching configs.
-pub fn resolve(kind: BackendKind) -> Arc<dyn IoBackend> {
-    match kind {
-        BackendKind::Threaded => threaded(),
-        BackendKind::Ring => ring_default(),
-        BackendKind::Default => match std::env::var("RBIO_IO_BACKEND").ok().as_deref() {
-            Some("ring") => ring_default(),
-            _ => threaded(),
-        },
-    }
-}
-
-/// mmap-backed whole-range read used by the ring backend's restart path
-/// (exposed for the conformance suite).
-pub fn read_via_mmap(file: &File, offset: u64, len: usize) -> io::Result<Bytes> {
-    mmapio::read_via_mmap(file, offset, len)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::os::unix::fs::FileExt;
 
-    fn tmpfile(name: &str) -> (std::path::PathBuf, Arc<File>) {
+    fn tmpfile(name: &str) -> (std::path::PathBuf, File) {
         let dir = std::env::temp_dir().join(format!("rbio-backend-{name}-{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("mkdir");
-        let p = dir.join("f");
         let f = std::fs::OpenOptions::new()
             .create(true)
             .truncate(true)
             .read(true)
             .write(true)
-            .open(&p)
+            .open(dir.join("f"))
             .expect("open");
-        (dir, Arc::new(f))
+        (dir, f)
     }
 
     fn ctx(faults: &FaultPlan) -> IoCtx<'_> {
         IoCtx {
             rank: 0,
-            wid: 0,
             faults,
             write_retries: 3,
             retry_backoff: Duration::from_micros(50),
@@ -293,66 +122,37 @@ mod tests {
     }
 
     #[test]
-    fn threaded_executes_ops_in_order_and_reads_back() {
+    fn threaded_writes_single_and_vectored_ops() {
         let (dir, f) = tmpfile("threaded");
         let faults = FaultPlan::none();
-        let out = ThreadedBackend.run_writes(
+        let b = ThreadedBackend;
+        b.write(&ctx(&faults), &f, 0, &[Bytes::from_vec(vec![1; 4])])
+            .expect("pwrite");
+        b.write(
             &ctx(&faults),
-            vec![
-                WriteOp {
-                    file: Arc::clone(&f),
-                    offset: 0,
-                    bufs: vec![Bytes::from_vec(vec![1; 4])],
-                },
-                WriteOp {
-                    file: Arc::clone(&f),
-                    offset: 4,
-                    bufs: vec![Bytes::from_vec(vec![2; 2]), Bytes::from_vec(vec![3; 2])],
-                },
-            ],
-        );
-        assert!(out.error.is_none());
-        let got = ThreadedBackend.read_at(&f, 0, 8).expect("read");
-        assert_eq!(got.as_ref(), &[1, 1, 1, 1, 2, 2, 3, 3]);
+            &f,
+            4,
+            &[Bytes::from_vec(vec![2; 2]), Bytes::from_vec(vec![3; 2])],
+        )
+        .expect("pwritev");
+        let mut got = [0u8; 8];
+        f.read_exact_at(&mut got, 0).expect("read");
+        assert_eq!(got, [1, 1, 1, 1, 2, 2, 3, 3]);
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn threaded_cancels_ops_after_a_kill() {
+    fn threaded_kill_stops_at_the_byte_budget() {
         let (dir, f) = tmpfile("kill");
         let faults = FaultPlan::none().kill_writer_after_bytes(0, 4);
-        let out = ThreadedBackend.run_writes(
-            &ctx(&faults),
-            vec![
-                WriteOp {
-                    file: Arc::clone(&f),
-                    offset: 0,
-                    bufs: vec![Bytes::from_vec(vec![7; 4])],
-                },
-                WriteOp {
-                    file: Arc::clone(&f),
-                    offset: 4,
-                    bufs: vec![Bytes::from_vec(vec![8; 4])],
-                },
-                WriteOp {
-                    file: Arc::clone(&f),
-                    offset: 8,
-                    bufs: vec![Bytes::from_vec(vec![9; 4])],
-                },
-            ],
-        );
-        match out.error {
-            Some((1, WriteError::Killed)) => {}
-            other => panic!("expected kill at op 1, got {other:?}"),
+        let b = ThreadedBackend;
+        b.write(&ctx(&faults), &f, 0, &[Bytes::from_vec(vec![7; 4])])
+            .expect("within budget");
+        match b.write(&ctx(&faults), &f, 4, &[Bytes::from_vec(vec![8; 4])]) {
+            Err(WriteError::Killed) => {}
+            other => panic!("expected a kill, got {other:?}"),
         }
-        // Only op 0's bytes landed; ops 1 and 2 never executed.
         assert_eq!(f.metadata().expect("meta").len(), 4);
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn resolve_honors_kinds() {
-        assert_eq!(resolve(BackendKind::Threaded).name(), "threaded");
-        assert!(resolve(BackendKind::Ring).name().starts_with("ring"));
     }
 }

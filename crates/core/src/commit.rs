@@ -2,8 +2,9 @@
 //!
 //! Atomic plan files are written to a `.tmp` sibling of their final name.
 //! When the owning rank has finished its writes (after its `Close`), the
-//! `Op::Commit` step seals the temporary file — appends a [`format`]
-//! checksum footer with a CRC32C per field region — optionally fsyncs, and
+//! `Op::Commit` step seals the temporary file — appends a
+//! [`format`](mod@crate::format) checksum footer with a CRC32C per field
+//! region — optionally fsyncs, and
 //! publishes it with a single `rename(2)`. A crash at *any* point therefore
 //! leaves either no final file or a complete, checksummed one; a partially
 //! written checkpoint is never observable under its final name.

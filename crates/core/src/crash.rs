@@ -16,8 +16,8 @@
 //!    directory `fsync` under a root directory, in the order the
 //!    process issued them. The journaling seam sits in the fault-layer
 //!    write helpers ([`crate::fault::write_at_with_retry`] and
-//!    friends) — the single choke point that the serial executors, the
-//!    threaded backend, and the ring backend all share — plus the
+//!    friends) — the single choke point that the serial executors and
+//!    the flush pool's backend share — plus the
 //!    commit path's footer/fsync/rename/dir-fsync edges. The
 //!    [`RecordingBackend`] decorator covers the one edge backends own
 //!    directly: `sync_file`. The harness also notes a
@@ -54,9 +54,10 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 use rbio_profile::counters;
 
-use crate::backend::{BatchOutcome, IoBackend, IoCtx, WriteOp};
+use crate::backend::{IoBackend, IoCtx};
 use crate::buf::Bytes;
 use crate::commit;
+use crate::fault::WriteError;
 use crate::layout::DataLayout;
 use crate::manager::{CheckpointManager, ManagerConfig, ManagerError};
 use crate::strategy::Strategy;
@@ -269,10 +270,8 @@ pub fn note_durable(step: u64) {
 
 /// [`IoBackend`] decorator that journals the durability edge backends
 /// own directly — `sync_file` — into the crash recorder. Write payloads
-/// are journaled one layer down, in the fault-checked write helpers
-/// every backend (and the serial executors) funnel through, so wrapping
-/// either [`crate::backend::ThreadedBackend`] or
-/// [`crate::backend::RingBackend`] yields the same complete op stream.
+/// are journaled one layer down, in the fault-checked write helpers the
+/// backend (and the serial executors) funnel through.
 pub struct RecordingBackend {
     inner: Arc<dyn IoBackend>,
 }
@@ -295,29 +294,22 @@ pub fn wrap_if_recording(backend: Arc<dyn IoBackend>) -> Arc<dyn IoBackend> {
 }
 
 impl IoBackend for RecordingBackend {
-    fn name(&self) -> &'static str {
-        "recording"
-    }
-
-    fn max_batch(&self) -> usize {
-        self.inner.max_batch()
-    }
-
-    fn run_writes(&self, ctx: &IoCtx<'_>, ops: Vec<WriteOp>) -> BatchOutcome {
+    fn write(
+        &self,
+        ctx: &IoCtx<'_>,
+        file: &File,
+        offset: u64,
+        bufs: &[Bytes],
+    ) -> Result<u32, WriteError> {
         // Payload journaling happens inside the shared fault-layer
-        // write helpers; delegating keeps linked-op and buffer-
-        // ownership semantics exactly the inner backend's.
-        self.inner.run_writes(ctx, ops)
+        // write helpers.
+        self.inner.write(ctx, file, offset, bufs)
     }
 
     fn sync_file(&self, file: &File) -> io::Result<()> {
         self.inner.sync_file(file)?;
         record_fsync_file(file);
         Ok(())
-    }
-
-    fn read_at(&self, file: &File, offset: u64, len: usize) -> io::Result<Bytes> {
-        self.inner.read_at(file, offset, len)
     }
 }
 

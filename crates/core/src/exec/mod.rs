@@ -24,7 +24,6 @@ use std::time::{Duration, Instant};
 
 use rbio_plan::{DataRef, Op, Program};
 
-use crate::backend::BackendKind;
 use crate::buf::{BufPool, Bytes, CopyMode};
 use crate::failover::{FailoverDirector, FailoverPolicy, WriterHealth};
 use crate::fault::{self, FaultPlan};
@@ -80,11 +79,11 @@ pub struct ExecConfig {
     pub recv_timeout: Duration,
     /// Outstanding background flush jobs per writer. `1` (the default)
     /// is the fully serial path; `≥ 2` defers `WriteAt`/`Close`/`Commit`
-    /// to the shared [`FlushPool`] so field *k+1* aggregation overlaps
-    /// field *k*'s disk write (2 = double buffering). Output is
-    /// byte-identical at any depth: data is snapshotted at issue, jobs
-    /// run FIFO per writer, and the pipeline drains at plan barriers,
-    /// reads, and end of program.
+    /// to the shared [`FlushPool`](crate::pipeline::FlushPool) so field
+    /// *k+1* aggregation overlaps field *k*'s disk write (2 = double
+    /// buffering). Output is byte-identical at any depth: data is
+    /// snapshotted at issue, jobs run FIFO per writer, and the pipeline
+    /// drains at plan barriers, reads, and end of program.
     pub pipeline_depth: u32,
     /// When set, background jobs sleep a seed-derived pseudo-random
     /// duration before running — a deterministic way for equivalence
@@ -109,11 +108,6 @@ pub struct ExecConfig {
     /// seals the staged file for the background drain engine
     /// (see [`crate::tier`]). Non-atomic files still hit the PFS.
     pub stage: Option<Arc<crate::tier::TierStage>>,
-    /// I/O backend driving the background flush pipeline's writes
-    /// (ignored at `pipeline_depth` 1, where the serial path issues its
-    /// own blocking writes). [`BackendKind::Default`] honors
-    /// `RBIO_IO_BACKEND`.
-    pub io_backend: BackendKind,
     /// Cap on one coalesced vectored write, bytes (min 1).
     pub coalesce_max_bytes: u64,
     /// Cap on chunks per coalesced vectored write (min 1).
@@ -142,7 +136,6 @@ impl ExecConfig {
             copy_mode: CopyMode::ZeroCopy,
             failover: FailoverPolicy::disabled(),
             stage: None,
-            io_backend: BackendKind::Default,
             coalesce_max_bytes: DEFAULT_COALESCE_BYTES,
             coalesce_max_ops: DEFAULT_COALESCE_OPS,
             chan_capacity: DEFAULT_CHAN_CAPACITY,
@@ -182,12 +175,6 @@ impl ExecConfig {
     /// Stage atomic files into the node-local tier instead of the PFS.
     pub fn stage(mut self, stage: Arc<crate::tier::TierStage>) -> Self {
         self.stage = Some(stage);
-        self
-    }
-
-    /// Select the pipeline's I/O backend.
-    pub fn io_backend(mut self, kind: BackendKind) -> Self {
-        self.io_backend = kind;
         self
     }
 

@@ -131,8 +131,7 @@ impl FaultPlan {
 
     /// Cut `rank`'s `nth` write (0-based) short: the device accepts only
     /// the first `cap` bytes, and the writer must deliver the remainder
-    /// itself (a resubmit in the ring backend, a continuation loop in the
-    /// threaded one). One-shot. Models the partial `pwrite` returns that
+    /// itself with a continuation loop. One-shot. Models the partial `pwrite` returns that
     /// striped file systems produce near stripe boundaries.
     pub fn short_write(self, rank: Rank, nth: u64, cap: u64) -> Self {
         self.inner
@@ -651,89 +650,6 @@ pub fn write_full_at(
         }
     }
     Ok(())
-}
-
-/// Outcome of a capped (ring-submitted) write attempt.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CappedWrite {
-    /// Every byte landed.
-    Full {
-        /// Retried attempts consumed by transient errors.
-        attempts: u32,
-    },
-    /// Only a prefix landed (injected short write); the submitter owes a
-    /// resubmission of `data[written..]`.
-    Short {
-        /// Bytes delivered before the cut.
-        written: u64,
-        /// Retried attempts consumed before the short completion.
-        attempts: u32,
-    },
-}
-
-/// Ring-backend variant of [`write_at_with_retry`]: identical fault
-/// consultation and retry policy, but an injected [`WriteFault::Short`]
-/// delivers only the capped prefix and *returns* — completing the
-/// remainder is the submitter's job (a resubmitted SQE at reap time),
-/// which is exactly how a real completion queue surfaces partial writes.
-pub fn write_at_capped(
-    file: &std::fs::File,
-    rank: Rank,
-    offset: u64,
-    data: &[u8],
-    faults: &FaultPlan,
-    max_retries: u32,
-    initial_backoff: Duration,
-) -> Result<CappedWrite, WriteError> {
-    if let Some(d) = faults.write_delay(rank) {
-        if !sched::registered() {
-            std::thread::sleep(d);
-        }
-    }
-    let mut attempt = 0u32;
-    let mut backoff = initial_backoff;
-    let clock = RetryClock::new(max_retries, initial_backoff);
-    loop {
-        match faults.on_write(rank, data.len() as u64, attempt) {
-            Some(WriteFault::Kill) => return Err(WriteError::Killed),
-            Some(WriteFault::Error) => {
-                if attempt >= max_retries {
-                    return Err(WriteError::Io(io::Error::from_raw_os_error(5)));
-                }
-                attempt += 1;
-                clock.backoff(&mut backoff, rank, offset, attempt)?;
-                continue;
-            }
-            Some(WriteFault::Short { cap }) => {
-                let cap = (cap as usize).min(data.len());
-                file.write_all_at(&data[..cap], offset)
-                    .map_err(WriteError::Io)?;
-                crash::record_write_file(file, offset, &data[..cap]);
-                if cap < data.len() {
-                    return Ok(CappedWrite::Short {
-                        written: cap as u64,
-                        attempts: attempt,
-                    });
-                }
-                return Ok(CappedWrite::Full { attempts: attempt });
-            }
-            Some(WriteFault::Enospc) => {
-                return Err(WriteError::Io(io::Error::from_raw_os_error(28)));
-            }
-            None => {}
-        }
-        match write_full_at(file, offset, data, 0) {
-            Ok(()) => {
-                crash::record_write_file(file, offset, data);
-                return Ok(CappedWrite::Full { attempts: attempt });
-            }
-            Err(WriteError::Io(e)) if attempt < max_retries && is_transient(&e) => {
-                attempt += 1;
-                clock.backoff(&mut backoff, rank, offset, attempt)?;
-            }
-            Err(e) => return Err(e),
-        }
-    }
 }
 
 /// Write `bufs` back to back starting at `offset` as **one** logical,

@@ -39,7 +39,7 @@ use std::time::{Duration, Instant};
 use rbio_plan::Rank;
 use rbio_profile::counters;
 
-use crate::backend::{self, IoBackend, IoCtx, WriteOp};
+use crate::backend::{self, IoBackend, IoCtx};
 use crate::buf::Bytes;
 use crate::commit;
 use crate::crash;
@@ -178,20 +178,12 @@ pub struct WriterTuning {
     /// failover monitor does not declare a rank dead while its queue is
     /// merely deep.
     pub beat: Option<Arc<AtomicU64>>,
-    /// I/O backend executing this writer's write jobs. `None` uses the
-    /// process default ([`backend::resolve`] of
-    /// [`backend::BackendKind::Default`], i.e. `RBIO_IO_BACKEND` or the
-    /// threaded baseline). Tests and check programs inject custom ring
-    /// geometries here.
-    pub backend: Option<Arc<dyn IoBackend>>,
 }
 
 /// Immutable per-writer execution context, set at registration.
 #[derive(Clone)]
 struct WriterCtx {
     rank: Rank,
-    /// Pool slot index (set once the slot is known in `register`).
-    wid: usize,
     faults: FaultPlan,
     write_retries: u32,
     retry_backoff: Duration,
@@ -199,7 +191,7 @@ struct WriterCtx {
     jitter_seed: Option<u64>,
     /// Liveness heartbeat (see [`WriterTuning::beat`]).
     beat: Option<Arc<AtomicU64>>,
-    /// Submission/completion engine for write jobs.
+    /// Executes write jobs and close-time fsyncs.
     backend: Arc<dyn IoBackend>,
 }
 
@@ -207,7 +199,6 @@ impl WriterCtx {
     fn io_ctx(&self) -> IoCtx<'_> {
         IoCtx {
             rank: self.rank,
-            wid: self.wid,
             faults: &self.faults,
             write_retries: self.write_retries,
             retry_backoff: self.retry_backoff,
@@ -326,7 +317,9 @@ static CHECK_POOL: RwLock<Option<Arc<FlushPool>>> = RwLock::new(None);
 static INSTALLED: RwLock<Option<Arc<FlushPool>>> = RwLock::new(None);
 
 impl FlushPool {
-    fn global_arc() -> &'static Arc<FlushPool> {
+    /// The process-wide pool [`FlushPool::current`] falls back to when
+    /// no service pool is installed, created on first use.
+    fn default_pool() -> &'static Arc<FlushPool> {
         static POOL: OnceLock<Arc<FlushPool>> = OnceLock::new();
         POOL.get_or_init(|| {
             let threads = std::thread::available_parallelism()
@@ -372,10 +365,9 @@ impl FlushPool {
 
     /// Install `pool` as the process's service-owned pool, returning
     /// the previously installed one (which the caller should shut
-    /// down once its writers are quiesced). [`FlushPool::current`] and
-    /// the [`FlushPool::global`] shim route through the installed pool,
-    /// so *re*-installing is how a service reconfigures flushing at
-    /// runtime.
+    /// down once its writers are quiesced). [`FlushPool::current`]
+    /// routes through the installed pool, so *re*-installing is how a
+    /// service reconfigures flushing at runtime.
     pub fn install(pool: Arc<FlushPool>) -> Option<Arc<FlushPool>> {
         INSTALLED
             .write()
@@ -393,23 +385,9 @@ impl FlushPool {
         INSTALLED.read().expect("installed pool lock").clone()
     }
 
-    /// Compatibility shim for the historical process-wide pool. Routes
-    /// to the installed service pool when one exists (so legacy callers
-    /// see reconfiguration instead of frozen first-use state), else
-    /// lazily creates the legacy global. Every use bumps the
-    /// `stale_global_pool_uses` profiling counter — the caller should
-    /// migrate to [`FlushPool::current`] or an explicit pool handle.
-    pub fn global() -> Arc<FlushPool> {
-        counters::add_stale_global_pool_uses(1);
-        if let Some(p) = Self::installed() {
-            return p;
-        }
-        Arc::clone(Self::global_arc())
-    }
-
     /// The pool executors should register with: the controlled check
     /// pool while a deterministic run is active, else the installed
-    /// service pool, else the legacy global pool.
+    /// service pool, else the process-wide default pool.
     pub fn current() -> Arc<FlushPool> {
         if sched::controlled() {
             if let Some(p) = CHECK_POOL.read().expect("check pool lock").as_ref() {
@@ -419,7 +397,7 @@ impl FlushPool {
         if let Some(p) = Self::installed() {
             return p;
         }
-        Arc::clone(Self::global_arc())
+        Arc::clone(Self::default_pool())
     }
 
     /// Create (once) the controlled pool with `threads` workers named
@@ -480,17 +458,12 @@ impl FlushPool {
         );
         let ctx = WriterCtx {
             rank,
-            wid: 0, // patched below once the slot is known
             faults,
             write_retries: tuning.write_retries,
             retry_backoff: tuning.retry_backoff,
             jitter_seed: tuning.jitter_seed,
             beat: tuning.beat,
-            backend: crash::wrap_if_recording(
-                tuning
-                    .backend
-                    .unwrap_or_else(|| backend::resolve(backend::BackendKind::Default)),
-            ),
+            backend: crash::wrap_if_recording(backend::threaded()),
         };
         let state = WriterState {
             ctx,
@@ -516,7 +489,6 @@ impl FlushPool {
                 g.writers.len() - 1
             }
         };
-        g.writers[wid].ctx.wid = wid;
         sched::emit(|| sched::Event::WriterRegistered { wid, rank });
         WriterHandle {
             shared: Arc::clone(&self.shared),
@@ -698,58 +670,6 @@ fn worker_loop(shared: &Shared) {
             };
             let skip = w.error.is_some() || !w.occupied;
             let ctx = w.ctx.clone();
-            // A run of consecutive write jobs can go to the backend as
-            // one submitted batch — except when every job needs per-job
-            // treatment: skipping (latched error) or hedging (the hedge
-            // snapshot tracks exactly one running job).
-            let max_batch = if skip || w.hedge_after.is_some() {
-                1
-            } else {
-                ctx.backend.max_batch().max(1)
-            };
-            let is_write =
-                |j: &FlushJob| matches!(j, FlushJob::Write { .. } | FlushJob::WriteV { .. });
-            if max_batch > 1 && is_write(&job) {
-                let mut jobs = vec![job];
-                while jobs.len() < max_batch && w.queue.front().is_some_and(is_write) {
-                    jobs.push(w.queue.pop_front().expect("front checked"));
-                }
-                let base_seq = w.seq;
-                w.seq += jobs.len() as u64;
-                for (k, j) in jobs.iter().enumerate() {
-                    let seq = base_seq + k as u64;
-                    sched::emit(|| sched::Event::JobStart {
-                        wid,
-                        seq,
-                        kind: j.kind(),
-                        hash: j.fingerprint(),
-                        skipped: false,
-                    });
-                }
-                drop(g);
-                sched::yield_now(Point::JobRun);
-                let n = jobs.len();
-                let outcome = run_write_batch(&ctx, base_seq, jobs);
-                g = shared.inner.lock().expect("pool lock");
-                let w = &mut g.writers[wid];
-                w.retries += u64::from(outcome.retries);
-                let err_idx = outcome.error.as_ref().map(|(i, _)| *i);
-                if let Some((_, e)) = outcome.error {
-                    if w.error.is_none() {
-                        w.error = Some(write_error(ctx.rank, e));
-                        sched::emit(|| sched::Event::ErrorLatched { wid });
-                    }
-                }
-                for k in 0..n {
-                    // Linked-op semantics: the failing op and everything
-                    // after it (canceled, never executed) end not-ok.
-                    let ok = err_idx.is_none_or(|i| k < i);
-                    sched::emit(|| sched::Event::JobEnd { wid, ok });
-                }
-                w.in_flight -= n;
-                shared.done.notify_all();
-                continue;
-            }
             let seq = w.seq;
             w.seq += 1;
             if !skip && w.hedge_after.is_some() {
@@ -822,49 +742,6 @@ fn write_error(rank: Rank, e: fault::WriteError) -> PipelineError {
     }
 }
 
-/// Fold a backend batch outcome into the single-job result shape.
-fn batch_result(out: backend::BatchOutcome, rank: Rank) -> Result<u32, PipelineError> {
-    match out.error {
-        Some((_, e)) => Err(write_error(rank, e)),
-        None => Ok(out.retries),
-    }
-}
-
-/// Execute a run of write jobs as one backend batch. Jitter applies once
-/// per batch; the liveness beat advances `2·n` total, matching the
-/// singleton path's heartbeat rate.
-fn run_write_batch(ctx: &WriterCtx, base_seq: u64, jobs: Vec<FlushJob>) -> backend::BatchOutcome {
-    let n = jobs.len() as u64;
-    if let Some(b) = &ctx.beat {
-        b.fetch_add(n, Ordering::Relaxed);
-    }
-    if let Some(seed) = ctx.jitter_seed {
-        if !sched::controlled() {
-            let h = splitmix64(seed ^ (u64::from(ctx.rank) << 32) ^ base_seq);
-            std::thread::sleep(Duration::from_micros(h % 200));
-        }
-    }
-    let ops: Vec<WriteOp> = jobs
-        .into_iter()
-        .map(|j| match j {
-            FlushJob::Write { file, offset, data } => WriteOp {
-                file,
-                offset,
-                bufs: vec![data],
-            },
-            FlushJob::WriteV { file, offset, bufs } => WriteOp { file, offset, bufs },
-            FlushJob::Close { .. } | FlushJob::Commit { .. } => {
-                unreachable!("batches contain only write jobs")
-            }
-        })
-        .collect();
-    let out = ctx.backend.run_writes(&ctx.io_ctx(), ops);
-    if let Some(b) = &ctx.beat {
-        b.fetch_add(n, Ordering::Relaxed);
-    }
-    out
-}
-
 fn run_job(ctx: &WriterCtx, seq: u64, job: FlushJob) -> Result<u32, PipelineError> {
     if let Some(b) = &ctx.beat {
         b.fetch_add(1, Ordering::Relaxed);
@@ -878,22 +755,14 @@ fn run_job(ctx: &WriterCtx, seq: u64, job: FlushJob) -> Result<u32, PipelineErro
         }
     }
     let res = match job {
-        FlushJob::Write { file, offset, data } => batch_result(
-            ctx.backend.run_writes(
-                &ctx.io_ctx(),
-                vec![WriteOp {
-                    file,
-                    offset,
-                    bufs: vec![data],
-                }],
-            ),
-            ctx.rank,
-        ),
-        FlushJob::WriteV { file, offset, bufs } => batch_result(
-            ctx.backend
-                .run_writes(&ctx.io_ctx(), vec![WriteOp { file, offset, bufs }]),
-            ctx.rank,
-        ),
+        FlushJob::Write { file, offset, data } => ctx
+            .backend
+            .write(&ctx.io_ctx(), &file, offset, std::slice::from_ref(&data))
+            .map_err(|e| write_error(ctx.rank, e)),
+        FlushJob::WriteV { file, offset, bufs } => ctx
+            .backend
+            .write(&ctx.io_ctx(), &file, offset, &bufs)
+            .map_err(|e| write_error(ctx.rank, e)),
         FlushJob::Close { file, fsync } => {
             if fsync {
                 // Sticky fsync semantics: a rank whose fsync ever
@@ -963,7 +832,7 @@ mod tests {
     }
 
     fn handle(rank: Rank, depth: u32, faults: FaultPlan) -> WriterHandle {
-        FlushPool::global().register(
+        FlushPool::current().register(
             rank,
             depth,
             faults,
@@ -1006,7 +875,7 @@ mod tests {
         // runnable enqueue once let two threads drain the same writer
         // concurrently, and with per-job jitter the earlier write could
         // land last.)
-        let h = FlushPool::global().register(
+        let h = FlushPool::current().register(
             0,
             4,
             FaultPlan::none(),
@@ -1107,7 +976,7 @@ mod tests {
         let before = counters::failover_snapshot();
         // Every write on rank 5 stalls well past the hedge deadline: the
         // drain must re-issue the bytes itself and count the hedge.
-        let h = FlushPool::global().register(
+        let h = FlushPool::current().register(
             5,
             2,
             FaultPlan::none().delay_writes(5, Duration::from_millis(150)),
@@ -1144,7 +1013,6 @@ mod tests {
         let pool = FlushPool::with_threads(2);
         let tuning = |hedge_after| WriterTuning {
             hedge_after,
-            backend: Some(backend::resolve(backend::BackendKind::Threaded)),
             ..WriterTuning::default()
         };
         let delayed = FaultPlan::none().delay_writes(30, Duration::from_millis(150));
@@ -1215,13 +1083,12 @@ mod tests {
     }
 
     /// Regression for the stale-global-pool bug: before explicit pools,
-    /// `global()` was a `OnceLock` and any later worker-count change
-    /// silently no-oped. Now a service installs an explicit pool, and
-    /// *re*-installing one with a different configuration takes effect
-    /// immediately for `current()` and the `global()` shim alike.
+    /// the process-wide pool was a `OnceLock` and any later worker-count
+    /// change silently no-oped. Now a service installs an explicit pool,
+    /// and *re*-installing one with a different configuration takes
+    /// effect immediately for `current()`.
     #[test]
     fn installed_pool_reconfiguration_takes_effect() {
-        let before = counters::service_snapshot();
         let a = FlushPool::with_threads(2);
         let b = FlushPool::with_threads(3);
         assert_eq!(a.threads(), 2);
@@ -1229,7 +1096,6 @@ mod tests {
 
         FlushPool::install(Arc::clone(&a));
         assert!(Arc::ptr_eq(&FlushPool::current(), &a));
-        assert!(Arc::ptr_eq(&FlushPool::global(), &a));
 
         // Reconfiguration: install a differently-sized pool after first
         // use. Pre-fix, this was the silent no-op; now it must replace.
@@ -1237,10 +1103,6 @@ mod tests {
         assert!(Arc::ptr_eq(&prev, &a));
         assert!(Arc::ptr_eq(&FlushPool::current(), &b));
         assert_eq!(FlushPool::current().threads(), 3);
-
-        // The shim is panic-free but warns through the counter.
-        let d = counters::service_snapshot().delta_since(&before);
-        assert!(d.stale_global_pool_uses >= 1);
 
         // Writers registered through the routed handle actually flush.
         let dir = tmpdir("reinstall");
@@ -1268,7 +1130,10 @@ mod tests {
 
         let got = FlushPool::uninstall().expect("b installed");
         assert!(Arc::ptr_eq(&got, &b));
-        assert!(Arc::ptr_eq(&FlushPool::current(), FlushPool::global_arc()));
+        assert!(Arc::ptr_eq(
+            &FlushPool::current(),
+            FlushPool::default_pool()
+        ));
         // a and b are deliberately *not* shut down: a concurrent test
         // may have grabbed one through `current()` during the window.
         std::fs::remove_dir_all(&dir).ok();

@@ -17,6 +17,7 @@
 
 use std::fs::File;
 use std::io::{self, Read, Seek, SeekFrom};
+use std::os::unix::fs::FileExt;
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -197,17 +198,11 @@ fn extract_file(
     header: &FileHeader,
 ) -> Result<Vec<Vec<Bytes>>, RestartError> {
     let path = dir.join(rel);
-    // Whole-file image read goes through the I/O backend so restart can
-    // use mmap-backed reads where the platform supports them (and plain
-    // pread everywhere else).
-    let file = std::fs::File::open(&path)?;
-    let size = file.metadata()?.len();
-    let bytes = crate::backend::resolve(crate::backend::BackendKind::Default).read_at(
-        &file,
-        0,
-        size as usize,
-    )?;
-    let actual = bytes.len() as u64;
+    let file = File::open(&path)?;
+    let actual = file.metadata()?.len();
+    let mut image = vec![0u8; actual as usize];
+    file.read_exact_at(&mut image, 0)?;
+    let bytes = Bytes::from_vec(image);
     if actual < header.expected_file_size() {
         // Shorter than its own header promises: a crash truncated the
         // write. Classified as torn (fall back a generation), not as a

@@ -178,49 +178,6 @@ pub enum Event {
         /// Job succeeded.
         ok: bool,
     },
-    /// A write op was queued as an SQE in a completion-queue backend.
-    /// `hash` fingerprints the payload buffers at queue time.
-    SubmitQueued {
-        /// Pool slot index.
-        wid: usize,
-        /// Ring user-data token, unique within the batch.
-        udata: u64,
-        /// FNV-1a of the payload at queue time.
-        hash: u64,
-    },
-    /// A run of queued SQEs was submitted to the device as one batch.
-    SubmitBatched {
-        /// Pool slot index.
-        wid: usize,
-        /// SQEs in the batch.
-        count: usize,
-    },
-    /// A completion was reaped. `hash` re-fingerprints the buffers the
-    /// ring still holds for this SQE: a mismatch with the queue-time
-    /// hash means the buffer was released (and possibly recycled)
-    /// before its completion was reaped.
-    CompletionReaped {
-        /// Pool slot index.
-        wid: usize,
-        /// Ring user-data token of the reaped SQE.
-        udata: u64,
-        /// FNV-1a of the held payload at reap time.
-        hash: u64,
-        /// Completion carried no error.
-        ok: bool,
-    },
-    /// A reaped completion was short (partial write); the remainder is
-    /// being resubmitted as a continuation SQE.
-    ShortWriteResubmit {
-        /// Pool slot index.
-        wid: usize,
-        /// Ring user-data token of the short completion.
-        udata: u64,
-        /// Bytes delivered before the cut.
-        written: u64,
-        /// Bytes the op was supposed to deliver.
-        expected: u64,
-    },
     /// A writer latched its first error; later jobs must be skipped.
     ErrorLatched {
         /// Pool slot index.

@@ -243,7 +243,6 @@ pub(crate) fn pipeline(
                 jitter_seed: cfg.pipeline_jitter,
                 hedge_after,
                 beat,
-                backend: Some(crate::backend::resolve(cfg.io_backend)),
             },
         )
     })

@@ -15,8 +15,6 @@ use rbio_topology::PartitionSpec;
 pub enum ConfigError {
     /// `pipeline_depth` must be at least 1 (1 = the serial write path).
     ZeroPipelineDepth,
-    /// A `batch` of 0 jobs per submission is meaningless.
-    ZeroBackendBatch,
     /// A bandwidth parameter must be finite and strictly positive.
     NonPositiveBandwidth {
         /// Which parameter was rejected (e.g. `"tier.local_bw"`).
@@ -30,7 +28,6 @@ impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ConfigError::ZeroPipelineDepth => write!(f, "pipeline_depth must be >= 1"),
-            ConfigError::ZeroBackendBatch => write!(f, "io_backend.batch must be >= 1"),
             ConfigError::NonPositiveBandwidth { field, value } => {
                 write!(f, "{field} must be finite and > 0 (got {value})")
             }
@@ -125,22 +122,17 @@ impl TierModel {
     }
 }
 
-/// Per-job costs of the writer's I/O submission path (mirror of
-/// `rbio::backend`): the foreground pays `submit` for handing a flush
-/// job to the backend — amortized over `batch` when the backend gathers
-/// multi-op batches, as one ring submission syscall covers the whole
-/// batch — and each background flush completion pays `completion` for
-/// reaping the result (a CQE reap, or joining a blocking write). The
-/// zero-cost default leaves every existing calibration untouched.
+/// Per-job costs of the writer's I/O path (mirror of `rbio::backend`):
+/// the foreground pays `submit` for handing a flush job to the backend,
+/// and each background flush completion pays `completion` for joining
+/// the blocking write. The zero-cost default leaves every existing
+/// calibration untouched.
 #[derive(Debug, Clone, Copy)]
 pub struct IoBackendModel {
-    /// Submission cost per flush job before amortization.
+    /// Foreground cost of enqueueing one flush job.
     pub submit: SimTime,
-    /// Completion-reap cost per flush job.
+    /// Completion cost per flush job.
     pub completion: SimTime,
-    /// Jobs covered by one submission (≥ 1); the foreground pays
-    /// `submit / batch` per job.
-    pub batch: u32,
 }
 
 impl Default for IoBackendModel {
@@ -150,58 +142,21 @@ impl Default for IoBackendModel {
 }
 
 impl IoBackendModel {
-    /// No submission/completion overhead at all (the pre-PR-7 model).
+    /// No submission/completion overhead at all.
     pub fn free() -> Self {
         IoBackendModel {
             submit: SimTime::ZERO,
             completion: SimTime::ZERO,
-            batch: 1,
         }
     }
 
     /// The blocking `ThreadedBackend`: one condvar handoff per job on
-    /// submit, one join on completion, no batching.
+    /// submit, one join on completion.
     pub fn threaded() -> Self {
         IoBackendModel {
             submit: SimTime::from_micros(4),
             completion: SimTime::from_micros(4),
-            batch: 1,
         }
-    }
-
-    /// The `RingBackend`: the same per-syscall submit cost but amortized
-    /// over an 8-op batch, and a cheap completion reap (a CQ read, not a
-    /// thread join).
-    pub fn ring() -> Self {
-        IoBackendModel {
-            submit: SimTime::from_micros(4),
-            completion: SimTime::from_micros(1),
-            batch: 8,
-        }
-    }
-
-    /// A validated backend model: `batch` must be at least 1.
-    pub fn try_new(submit: SimTime, completion: SimTime, batch: u32) -> Result<Self, ConfigError> {
-        let model = IoBackendModel {
-            submit,
-            completion,
-            batch,
-        };
-        model.validate()?;
-        Ok(model)
-    }
-
-    /// Check the model's parameters.
-    pub fn validate(&self) -> Result<(), ConfigError> {
-        if self.batch == 0 {
-            return Err(ConfigError::ZeroBackendBatch);
-        }
-        Ok(())
-    }
-
-    /// Foreground cost of enqueueing one flush job.
-    pub fn submit_cost(&self) -> SimTime {
-        SimTime::from_nanos(self.submit.as_nanos() / u64::from(self.batch.max(1)))
     }
 }
 
@@ -319,15 +274,8 @@ impl MachineConfig {
         Ok(self)
     }
 
-    /// Fallible [`Self::io_backend`]: rejects a zero batch.
-    pub fn try_io_backend(mut self, model: IoBackendModel) -> Result<Self, ConfigError> {
-        model.validate()?;
-        self.io_backend = model;
-        Ok(self)
-    }
-
     /// Check every numeric parameter a tuner candidate can set: pipeline
-    /// depth, staging/tier/filesystem/network bandwidths, backend batch.
+    /// depth and staging/tier/filesystem/network bandwidths.
     /// [`crate::CostQuery::new`] runs this so a malformed candidate is a
     /// typed error instead of a NaN cost.
     pub fn validate(&self) -> Result<(), ConfigError> {
@@ -344,7 +292,7 @@ impl MachineConfig {
         if let Some(tier) = self.tier {
             tier.validate()?;
         }
-        self.io_backend.validate()
+        Ok(())
     }
 
     /// Inject a writer death: `rank` dies during the first write that
@@ -415,14 +363,6 @@ mod tests {
                 ..
             })
         ));
-        assert_eq!(
-            IoBackendModel::try_new(SimTime::ZERO, SimTime::ZERO, 0).unwrap_err(),
-            ConfigError::ZeroBackendBatch
-        );
-        assert!(m
-            .clone()
-            .try_io_backend(IoBackendModel::ring())
-            .is_ok_and(|m| m.validate().is_ok()));
         let mut bad = m.clone();
         bad.mem_bw = -3.0e9;
         assert!(matches!(

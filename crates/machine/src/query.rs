@@ -138,8 +138,7 @@ mod tests {
                 .try_tier(TierModel::try_new(3.0e9, Some(1.5e9)).unwrap())
                 .unwrap(),
             machine(256)
-                .try_io_backend(IoBackendModel::ring())
-                .unwrap()
+                .io_backend(IoBackendModel::threaded())
                 .try_pipeline_depth(2)
                 .unwrap(),
         ];

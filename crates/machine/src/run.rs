@@ -426,7 +426,7 @@ impl Sim<'_> {
                     // the disk path runs on the background flusher.
                     let fg_done = now
                         .saturating_add(self.pack_time(bytes))
-                        .saturating_add(self.cfg.io_backend.submit_cost());
+                        .saturating_add(self.cfg.io_backend.submit);
                     self.flush_enqueue(
                         rank,
                         fg_done,
@@ -473,7 +473,7 @@ impl Sim<'_> {
                 if pipelined {
                     // Metadata jobs ride the same submission path as the
                     // data flushes (one `WriterHandle::submit` each).
-                    let fg_done = now.saturating_add(self.cfg.io_backend.submit_cost());
+                    let fg_done = now.saturating_add(self.cfg.io_backend.submit);
                     self.flush_enqueue(rank, fg_done, FlushReq::Close, q);
                     self.record(rank, OpKind::Close, now, fg_done, 0);
                     fg_done
@@ -488,7 +488,7 @@ impl Sim<'_> {
                 // filesystem (reopen the file, publish the new name).
                 let lat = self.cfg.net.ion_latency;
                 if pipelined {
-                    let fg_done = now.saturating_add(self.cfg.io_backend.submit_cost());
+                    let fg_done = now.saturating_add(self.cfg.io_backend.submit);
                     self.flush_enqueue(rank, fg_done, FlushReq::Commit, q);
                     self.record(rank, OpKind::Commit, now, fg_done, 0);
                     fg_done
@@ -1229,8 +1229,7 @@ mod tests {
         use crate::config::IoBackendModel;
         // Many small writes make per-job submission overhead visible:
         // the threaded backend pays a full handoff per job (submit and
-        // completion) while the ring amortizes its submit over the batch
-        // and reaps cheaply. The free model is the identity — existing
+        // completion). The free model is the identity — existing
         // calibrations must not move.
         let cfg = machine(8).quiet().pipeline_depth(2);
         let prog = pack_write_program(64, 64 << 10);
@@ -1238,12 +1237,10 @@ mod tests {
         let again = simulate(&prog, &cfg.clone().io_backend(IoBackendModel::free()));
         assert_eq!(free.wall, again.wall, "free() is the default model");
         let threaded = simulate(&prog, &cfg.clone().io_backend(IoBackendModel::threaded()));
-        let ring = simulate(&prog, &cfg.clone().io_backend(IoBackendModel::ring()));
         assert!(
-            free.wall < ring.wall && ring.wall < threaded.wall,
-            "per-job overhead must order the walls: free {:?} < ring {:?} < threaded {:?}",
+            free.wall < threaded.wall,
+            "per-job overhead must order the walls: free {:?} < threaded {:?}",
             free.wall,
-            ring.wall,
             threaded.wall
         );
     }

@@ -57,9 +57,7 @@ static SCRUB_REPAIRS: AtomicU64 = AtomicU64::new(0);
 static GC_ORPHANS: AtomicU64 = AtomicU64::new(0);
 
 // Multi-tenant service observability (see `rbio::service`): admission
-// decisions, backpressure and QoS events, and uses of the legacy
-// `FlushPool::global()` shim (each one a caller bypassing the
-// service-owned pool, i.e. potentially seeing stale configuration).
+// decisions, backpressure and QoS events.
 static SERVICE_ADMITTED: AtomicU64 = AtomicU64::new(0);
 static SERVICE_QUEUED: AtomicU64 = AtomicU64::new(0);
 static SERVICE_REJECTED: AtomicU64 = AtomicU64::new(0);
@@ -67,7 +65,6 @@ static SERVICE_COMPLETED: AtomicU64 = AtomicU64::new(0);
 static SERVICE_FAILED: AtomicU64 = AtomicU64::new(0);
 static SERVICE_PREEMPTIONS: AtomicU64 = AtomicU64::new(0);
 static SERVICE_THROTTLE_WAITS: AtomicU64 = AtomicU64::new(0);
-static STALE_GLOBAL_POOL_USES: AtomicU64 = AtomicU64::new(0);
 // Bounded-channel backpressure in the executors: sends that found the
 // queue full and had to wait, and sends that hit their deadline.
 static SEND_BACKPRESSURE_BLOCKS: AtomicU64 = AtomicU64::new(0);
@@ -530,8 +527,6 @@ pub struct ServiceSnapshot {
     pub preemptions: u64,
     /// Fair-share grants that had to wait for a lagging tenant.
     pub throttle_waits: u64,
-    /// Uses of the legacy `FlushPool::global()` shim.
-    pub stale_global_pool_uses: u64,
     /// Bounded-channel sends that found the queue full and waited.
     pub send_backpressure_blocks: u64,
     /// Bounded-channel sends that hit their deadline.
@@ -549,7 +544,6 @@ impl ServiceSnapshot {
             failed: self.failed - prev.failed,
             preemptions: self.preemptions - prev.preemptions,
             throttle_waits: self.throttle_waits - prev.throttle_waits,
-            stale_global_pool_uses: self.stale_global_pool_uses - prev.stale_global_pool_uses,
             send_backpressure_blocks: self.send_backpressure_blocks - prev.send_backpressure_blocks,
             send_backpressure_timeouts: self.send_backpressure_timeouts
                 - prev.send_backpressure_timeouts,
@@ -561,8 +555,7 @@ impl ServiceSnapshot {
         format!(
             "{{\"admitted\": {}, \"queued\": {}, \"rejected\": {}, \"completed\": {}, \
              \"failed\": {}, \"preemptions\": {}, \"throttle_waits\": {}, \
-             \"stale_global_pool_uses\": {}, \"send_backpressure_blocks\": {}, \
-             \"send_backpressure_timeouts\": {}}}",
+             \"send_backpressure_blocks\": {}, \"send_backpressure_timeouts\": {}}}",
             self.admitted,
             self.queued,
             self.rejected,
@@ -570,7 +563,6 @@ impl ServiceSnapshot {
             self.failed,
             self.preemptions,
             self.throttle_waits,
-            self.stale_global_pool_uses,
             self.send_backpressure_blocks,
             self.send_backpressure_timeouts,
         )
@@ -619,12 +611,6 @@ pub fn add_service_throttle_waits(n: u64) {
     SERVICE_THROTTLE_WAITS.fetch_add(n, Ordering::Relaxed);
 }
 
-/// Count a use of the legacy `FlushPool::global()` shim.
-#[inline]
-pub fn add_stale_global_pool_uses(n: u64) {
-    STALE_GLOBAL_POOL_USES.fetch_add(n, Ordering::Relaxed);
-}
-
 /// Count a bounded-channel send that found the queue full.
 #[inline]
 pub fn add_send_backpressure_blocks(n: u64) {
@@ -647,7 +633,6 @@ pub fn service_snapshot() -> ServiceSnapshot {
         failed: SERVICE_FAILED.load(Ordering::Relaxed),
         preemptions: SERVICE_PREEMPTIONS.load(Ordering::Relaxed),
         throttle_waits: SERVICE_THROTTLE_WAITS.load(Ordering::Relaxed),
-        stale_global_pool_uses: STALE_GLOBAL_POOL_USES.load(Ordering::Relaxed),
         send_backpressure_blocks: SEND_BACKPRESSURE_BLOCKS.load(Ordering::Relaxed),
         send_backpressure_timeouts: SEND_BACKPRESSURE_TIMEOUTS.load(Ordering::Relaxed),
     }
@@ -913,7 +898,6 @@ mod tests {
         add_service_failed(5);
         add_service_preemptions(6);
         add_service_throttle_waits(7);
-        add_stale_global_pool_uses(8);
         add_send_backpressure_blocks(9);
         add_send_backpressure_timeouts(10);
         let d = service_snapshot().delta_since(&before);
@@ -924,7 +908,6 @@ mod tests {
         assert!(d.failed >= 5);
         assert!(d.preemptions >= 6);
         assert!(d.throttle_waits >= 7);
-        assert!(d.stale_global_pool_uses >= 8);
         assert!(d.send_backpressure_blocks >= 9);
         assert!(d.send_backpressure_timeouts >= 10);
         let j = ServiceSnapshot {
@@ -935,7 +918,7 @@ mod tests {
         .to_json();
         assert!(j.contains("\"admitted\": 1"), "{j}");
         assert!(j.contains("\"rejected\": 3"), "{j}");
-        assert!(j.contains("\"stale_global_pool_uses\": 0"), "{j}");
+        assert!(j.contains("\"send_backpressure_timeouts\": 0"), "{j}");
     }
 
     #[test]

@@ -14,11 +14,8 @@
 //!   `writer_buffer` — the collective-only `cb_buffer` and
 //!   `coalesce_fields` are masked.
 //! * With a staging tier, the simulator's tier path bypasses the flush
-//!   pipeline entirely, so `pipeline_depth` and the backend knobs are
-//!   masked; without a tier, `tier_drain_bw` is masked.
-//! * At `pipeline_depth` 1 the serial path issues its own writes and
-//!   never touches the backend — backend kind and batch are masked.
-//! * `Threaded` cannot batch — `backend_batch` is masked.
+//!   pipeline entirely, so `pipeline_depth` is masked; without a tier,
+//!   `tier_drain_bw` is masked.
 //! * `coalesce_max_bytes`/`coalesce_max_ops` never enter either key:
 //!   the simulator does not model IOV batching, so they are
 //!   cost-invariant (they ride into the exported `ExecConfig` only).
@@ -28,7 +25,7 @@
 //! compiled plan serves every machine-knob variation — the plan cache
 //! is keyed on this.
 
-use crate::space::{BackendKnob, Candidate, StrategyKind};
+use crate::space::{Candidate, StrategyKind};
 
 /// Memoization key: all cost-relevant knobs, masked per the module
 /// docs. `Hash + Eq` by value.
@@ -40,8 +37,6 @@ pub struct CanonKey {
     writer_buffer: u64,
     cb_buffer: u64,
     coalesce_fields: bool,
-    backend: Option<BackendKnob>,
-    backend_batch: u32,
     tier_drain_bw: Option<u64>,
 }
 
@@ -70,14 +65,8 @@ fn plan_fields(c: &Candidate) -> (u32, u64, u64, bool) {
 pub fn canon_key(c: &Candidate, has_tier: bool) -> CanonKey {
     let (nf, writer_buffer, cb_buffer, coalesce_fields) = plan_fields(c);
     let tier_drain_bw = if has_tier { c.tier_drain_bw } else { None };
-    // Tier path bypasses the flush pipeline; depth and backend are moot.
+    // Tier path bypasses the flush pipeline; depth is moot.
     let pipeline_depth = if has_tier { 1 } else { c.pipeline_depth };
-    let backend_live = !has_tier && c.pipeline_depth > 1;
-    let backend = backend_live.then_some(c.backend);
-    let backend_batch = match backend {
-        Some(BackendKnob::Ring) => c.backend_batch,
-        _ => 0,
-    };
     CanonKey {
         strategy: c.strategy,
         nf,
@@ -85,8 +74,6 @@ pub fn canon_key(c: &Candidate, has_tier: bool) -> CanonKey {
         writer_buffer,
         cb_buffer,
         coalesce_fields,
-        backend,
-        backend_batch,
         tier_drain_bw,
     }
 }
@@ -117,8 +104,6 @@ mod tests {
             writer_buffer: 16 << 20,
             cb_buffer: 16 << 20,
             coalesce_fields: false,
-            backend: BackendKnob::Ring,
-            backend_batch: 8,
             tier_drain_bw: None,
             coalesce_max_bytes: 8 << 20,
             coalesce_max_ops: 64,
@@ -133,19 +118,11 @@ mod tests {
         b.cb_buffer = 4 << 20;
         b.coalesce_fields = true;
         assert_eq!(canon_key(&a, false), canon_key(&b, false));
-        // Depth 1 masks the backend entirely.
-        let mut d1a = a;
-        d1a.pipeline_depth = 1;
-        let mut d1b = d1a;
-        d1b.backend = BackendKnob::Threaded;
-        d1b.backend_batch = 32;
-        assert_eq!(canon_key(&d1a, false), canon_key(&d1b, false));
-        // A tier masks depth and backend.
+        // A tier masks depth.
         let mut ta = a;
         ta.tier_drain_bw = Some(1_500_000_000);
         let mut tb = ta;
         tb.pipeline_depth = 4;
-        tb.backend = BackendKnob::Threaded;
         assert_eq!(canon_key(&ta, true), canon_key(&tb, true));
         // Coalesce caps never matter.
         let mut cc = a;
@@ -164,7 +141,7 @@ mod tests {
         c.writer_buffer = 1 << 20;
         assert_ne!(canon_key(&a, false), canon_key(&c, false));
         let mut d = a;
-        d.backend = BackendKnob::Threaded;
+        d.pipeline_depth = 1;
         assert_ne!(canon_key(&a, false), canon_key(&d, false));
         // Without a tier the drain knob is masked; with one it is live.
         let mut t = a;
@@ -228,8 +205,6 @@ mod tests {
                 writer_buffer: pick(&s.writer_buffer, &mut bits),
                 cb_buffer: pick(&s.cb_buffer, &mut bits),
                 coalesce_fields: pick(&[false, true], &mut bits),
-                backend: pick(&[BackendKnob::Threaded, BackendKnob::Ring], &mut bits),
-                backend_batch: pick(&s.backend_batch, &mut bits),
                 tier_drain_bw: pick(&tiers, &mut bits),
                 coalesce_max_bytes: 8 << 20,
                 coalesce_max_ops: 64,
@@ -254,9 +229,7 @@ mod tests {
                 StrategyKind::RbIo => { m.cb_buffer = 123; m.coalesce_fields = !m.coalesce_fields; }
             }
             if !has_tier { m.tier_drain_bw = Some(42); }
-            if has_tier { m.pipeline_depth = c.pipeline_depth % 4 + 1; m.backend = BackendKnob::Threaded; m.backend_batch = 5; }
-            if !has_tier && c.pipeline_depth == 1 { m.backend = BackendKnob::Threaded; m.backend_batch = 9; }
-            if !has_tier && c.pipeline_depth > 1 && c.backend == BackendKnob::Threaded { m.backend_batch = 13; }
+            if has_tier { m.pipeline_depth = c.pipeline_depth % 4 + 1; }
             prop_assert_eq!(canon_key(&m, has_tier), k);
         }
 

@@ -22,7 +22,7 @@
 
 use crate::bound::BoundModel;
 use crate::canon::{canon_key, plan_key, CanonKey, PlanKey};
-use crate::space::{BackendKnob, Candidate, StrategyKind};
+use crate::space::{Candidate, StrategyKind};
 use rbio::layout::DataLayout;
 use rbio::strategy::{CheckpointSpec, Strategy, Tuning};
 use rbio_gpfs::FsProfile;
@@ -115,13 +115,13 @@ impl Workload {
 }
 
 /// The fixed context a search runs in: machine variant, workload,
-/// seeds, objective and the CIOD syscall cost the backend models pay.
+/// seeds, objective and the CIOD syscall cost the backend model pays.
 #[derive(Debug, Clone)]
 pub struct Env {
     /// Human-readable variant name (`intrepid`, `tier`, `pvfs`, ...).
     pub label: String,
     /// Base machine model. Candidate machine knobs (pipeline depth,
-    /// backend, tier drain rate) are applied on top per evaluation.
+    /// tier drain rate) are applied on top per evaluation.
     pub machine: MachineConfig,
     /// Workload to checkpoint.
     pub workload: Workload,
@@ -129,8 +129,8 @@ pub struct Env {
     pub seeds: Vec<u64>,
     /// What to minimize.
     pub objective: Objective,
-    /// Per-I/O-call CPU cost charged by the backend models (submit
-    /// path). Intrepid's CIOD forwards at ~µs scale; the `ciod` env
+    /// Per-I/O-call CPU cost charged by the backend model on every
+    /// pipelined job's submit and completion. Intrepid's CIOD forwards at ~µs scale; the `ciod` env
     /// raises this to stress syscall-bound forwarding.
     pub syscall_cost: SimTime,
 }
@@ -174,8 +174,8 @@ impl Env {
     }
 
     /// A syscall-heavy CIOD variant: per-call forwarding cost raised to
-    /// 2 ms, which makes the I/O backend choice (threaded vs ring, and
-    /// whether to pipeline at all) a first-order knob.
+    /// 2 ms, which makes whether to pipeline at all a first-order
+    /// knob.
     pub fn ciod(np: u32) -> Self {
         let mut e = Env::intrepid(np);
         e.label = "ciod".to_string();
@@ -299,17 +299,9 @@ impl MachineOracle {
         m.profile = ProfileLevel::Off;
         m.pipeline_depth = c.pipeline_depth;
         let sc = self.env.syscall_cost;
-        m.io_backend = match c.backend {
-            BackendKnob::Threaded => IoBackendModel {
-                submit: sc,
-                completion: sc,
-                batch: 1,
-            },
-            BackendKnob::Ring => IoBackendModel {
-                submit: sc,
-                completion: SimTime::from_secs_f64(sc.as_secs_f64() / 4.0),
-                batch: c.backend_batch,
-            },
+        m.io_backend = IoBackendModel {
+            submit: sc,
+            completion: sc,
         };
         if let Some(base) = &self.env.machine.tier {
             let mut tier = TierModel::local_only(base.local_bw);
@@ -535,14 +527,13 @@ mod tests {
     }
 
     #[test]
-    fn tier_env_masks_depth_and_backend() {
+    fn tier_env_masks_depth() {
         let oracle = MachineOracle::new(Env::tier(256)).unwrap();
         let mut a = small_candidate(64);
         a.tier_drain_bw = Some(1_500_000_000);
         a.pipeline_depth = 1;
         let mut b = a;
         b.pipeline_depth = 4;
-        b.backend = BackendKnob::Ring;
         let ca = oracle.cost(&a);
         let cb = oracle.cost(&b);
         // The canon mask says these are equivalent — and because the

@@ -5,8 +5,7 @@
 //! the planner).
 
 use crate::oracle::Objective;
-use crate::space::{BackendKnob, Candidate, StrategyKind};
-use rbio::backend::BackendKind;
+use crate::space::{Candidate, StrategyKind};
 use rbio::exec::ExecConfig;
 use rbio::strategy::{Strategy, Tuning};
 use rbio_machine::{IoBackendModel, MachineConfig, TierModel};
@@ -48,21 +47,6 @@ fn strategy_from_name(s: &str) -> Option<StrategyKind> {
     }
 }
 
-fn backend_name(b: BackendKnob) -> &'static str {
-    match b {
-        BackendKnob::Threaded => "threaded",
-        BackendKnob::Ring => "ring",
-    }
-}
-
-fn backend_from_name(s: &str) -> Option<BackendKnob> {
-    match s {
-        "threaded" => Some(BackendKnob::Threaded),
-        "ring" => Some(BackendKnob::Ring),
-        _ => None,
-    }
-}
-
 impl TunedPlan {
     /// Serialize to the stable JSON export format.
     pub fn to_json(&self) -> String {
@@ -86,8 +70,6 @@ impl TunedPlan {
                 "    \"writer_buffer\": {},\n",
                 "    \"cb_buffer\": {},\n",
                 "    \"coalesce_fields\": {},\n",
-                "    \"backend\": \"{}\",\n",
-                "    \"backend_batch\": {},\n",
                 "    \"tier_drain_bw\": {},\n",
                 "    \"coalesce_max_bytes\": {},\n",
                 "    \"coalesce_max_ops\": {}\n",
@@ -105,8 +87,6 @@ impl TunedPlan {
             c.writer_buffer,
             c.cb_buffer,
             c.coalesce_fields,
-            backend_name(c.backend),
-            c.backend_batch,
             tier,
             c.coalesce_max_bytes,
             c.coalesce_max_ops,
@@ -136,8 +116,6 @@ impl TunedPlan {
                 .get("coalesce_fields")
                 .and_then(Json::as_bool)
                 .ok_or("missing field 'coalesce_fields'")?,
-            backend: backend_from_name(field_str(c, "backend")?).ok_or("unknown backend name")?,
-            backend_batch: field_u64(c, "backend_batch")? as u32,
             tier_drain_bw,
             coalesce_max_bytes: field_u64(c, "coalesce_max_bytes")?,
             coalesce_max_ops: field_u64(c, "coalesce_max_ops")? as u32,
@@ -176,13 +154,8 @@ impl TunedPlan {
 
     /// A real-executor config applying every executor-visible knob.
     pub fn exec_config(&self, base_dir: impl AsRef<Path>) -> ExecConfig {
-        let kind = match self.candidate.backend {
-            BackendKnob::Threaded => BackendKind::Threaded,
-            BackendKnob::Ring => BackendKind::Ring,
-        };
         ExecConfig::new(base_dir)
             .pipeline_depth(self.candidate.pipeline_depth)
-            .io_backend(kind)
             .coalesce_caps(
                 self.candidate.coalesce_max_bytes,
                 self.candidate.coalesce_max_ops as usize,
@@ -190,18 +163,11 @@ impl TunedPlan {
     }
 
     /// `base` with this plan's machine knobs applied (pipeline depth,
-    /// backend model, tier drain rate when `base` has a tier).
+    /// threaded backend model, tier drain rate when `base` has a tier).
     pub fn machine_config(&self, base: &MachineConfig) -> MachineConfig {
         let mut m = base.clone();
         m.pipeline_depth = self.candidate.pipeline_depth;
-        m.io_backend = match self.candidate.backend {
-            BackendKnob::Threaded => IoBackendModel::threaded(),
-            BackendKnob::Ring => {
-                let mut b = IoBackendModel::ring();
-                b.batch = self.candidate.backend_batch;
-                b
-            }
-        };
+        m.io_backend = IoBackendModel::threaded();
         if let Some(base_tier) = &base.tier {
             let mut tier = TierModel::local_only(base_tier.local_bw);
             if let Some(bw) = self.candidate.tier_drain_bw {
@@ -234,8 +200,7 @@ mod tests {
         let mut c = Space::intrepid(16384).seed_candidate();
         c.strategy = StrategyKind::RbIo;
         c.nf = 1024;
-        c.backend = BackendKnob::Ring;
-        c.backend_batch = 8;
+        c.pipeline_depth = 2;
         TunedPlan {
             candidate: c,
             cost_seconds: 2.465,
@@ -276,7 +241,6 @@ mod tests {
         let plan = sample();
         let cfg = plan.exec_config("/tmp/ckpt");
         assert_eq!(cfg.pipeline_depth, plan.candidate.pipeline_depth);
-        assert_eq!(cfg.io_backend, BackendKind::Ring);
         assert_eq!(cfg.coalesce_max_bytes, plan.candidate.coalesce_max_bytes);
         assert_eq!(
             cfg.coalesce_max_ops,
@@ -291,7 +255,7 @@ mod tests {
         let base = MachineConfig::intrepid(16384);
         let m = plan.machine_config(&base);
         assert_eq!(m.pipeline_depth, plan.candidate.pipeline_depth);
-        assert_eq!(m.io_backend.batch, 8);
+        assert_eq!(m.io_backend.submit, IoBackendModel::threaded().submit);
         // No tier on the base: the knob is ignored.
         assert!(m.tier.is_none());
         let mut tiered_base = base.clone();

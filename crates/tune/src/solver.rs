@@ -7,7 +7,8 @@
 //! mechanisms keep the evaluation count far below the cross product:
 //!
 //! * **branch-and-bound point pruning** — before a candidate is
-//!   simulated, its analytic floor ([`BoundModel::point_bound`]) is
+//!   simulated, its analytic floor
+//!   ([`BoundModel::point_bound`](crate::BoundModel::point_bound)) is
 //!   compared against the incumbent; a floor at or above the incumbent
 //!   proves the candidate cannot win, so it is skipped (counted in
 //!   `pruned`). The floors are monotone along nf (stream ↓, create ↑),
@@ -301,8 +302,6 @@ fn knob_value(c: &Candidate, k: Knob) -> String {
         Knob::WriterBuffer => c.writer_buffer.to_string(),
         Knob::CbBuffer => c.cb_buffer.to_string(),
         Knob::CoalesceFields => c.coalesce_fields.to_string(),
-        Knob::Backend => format!("{:?}", c.backend),
-        Knob::BackendBatch => c.backend_batch.to_string(),
         Knob::TierDrainBw => format!("{:?}", c.tier_drain_bw),
         Knob::CoalesceMaxBytes => c.coalesce_max_bytes.to_string(),
         Knob::CoalesceMaxOps => c.coalesce_max_ops.to_string(),
@@ -313,7 +312,7 @@ fn knob_value(c: &Candidate, k: Knob) -> String {
 mod tests {
     use super::*;
     use crate::oracle::Env;
-    use crate::space::{BackendKnob, StrategyKind};
+    use crate::space::StrategyKind;
 
     /// A small space over nf and writer_buffer only (np=256 keeps each
     /// simulation cheap in debug builds).
@@ -323,8 +322,6 @@ mod tests {
         s.pipeline_depth = vec![1];
         s.cb_buffer = vec![16 << 20];
         s.coalesce_fields = vec![false];
-        s.backend = vec![BackendKnob::Threaded];
-        s.backend_batch = vec![1];
         s
     }
 

@@ -18,18 +18,6 @@ pub enum StrategyKind {
     RbIo,
 }
 
-/// Writer flush-pipeline I/O backend (the software choice added in the
-/// pluggable-backend PR; cost model in `rbio_machine::IoBackendModel`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum BackendKnob {
-    /// Blocking worker thread: one handoff per job, one join per
-    /// completion, no batching.
-    Threaded,
-    /// Completion-queue ring: submission amortized over a batch, cheap
-    /// completion reap.
-    Ring,
-}
-
 /// One point of the configuration space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Candidate {
@@ -46,10 +34,6 @@ pub struct Candidate {
     pub cb_buffer: u64,
     /// Batch all fields of a collective commit into one write.
     pub coalesce_fields: bool,
-    /// Flush-pipeline backend.
-    pub backend: BackendKnob,
-    /// Ring submission batch (jobs per syscall); Threaded cannot batch.
-    pub backend_batch: u32,
     /// Drain-stage bandwidth out of the node-local tier, bytes/s.
     /// `None` when the machine has no staging tier.
     pub tier_drain_bw: Option<u64>,
@@ -71,8 +55,6 @@ pub enum Knob {
     WriterBuffer,
     CbBuffer,
     CoalesceFields,
-    Backend,
-    BackendBatch,
     TierDrainBw,
     CoalesceMaxBytes,
     CoalesceMaxOps,
@@ -80,15 +62,13 @@ pub enum Knob {
 
 /// Coordinate-descent visiting order. `Nf` first: it dominates the cost
 /// landscape (Fig. 8), so later axes refine around a good file count.
-pub const ALL_KNOBS: [Knob; 11] = [
+pub const ALL_KNOBS: [Knob; 9] = [
     Knob::Nf,
     Knob::Strategy,
     Knob::PipelineDepth,
     Knob::WriterBuffer,
     Knob::CbBuffer,
     Knob::CoalesceFields,
-    Knob::Backend,
-    Knob::BackendBatch,
     Knob::TierDrainBw,
     Knob::CoalesceMaxBytes,
     Knob::CoalesceMaxOps,
@@ -104,8 +84,6 @@ impl Knob {
             Knob::WriterBuffer => "writer_buffer",
             Knob::CbBuffer => "cb_buffer",
             Knob::CoalesceFields => "coalesce_fields",
-            Knob::Backend => "backend",
-            Knob::BackendBatch => "backend_batch",
             Knob::TierDrainBw => "tier_drain_bw",
             Knob::CoalesceMaxBytes => "coalesce_max_bytes",
             Knob::CoalesceMaxOps => "coalesce_max_ops",
@@ -123,8 +101,6 @@ pub struct Space {
     pub writer_buffer: Vec<u64>,
     pub cb_buffer: Vec<u64>,
     pub coalesce_fields: Vec<bool>,
-    pub backend: Vec<BackendKnob>,
-    pub backend_batch: Vec<u32>,
     pub tier_drain_bw: Vec<Option<u64>>,
     pub coalesce_max_bytes: Vec<u64>,
     pub coalesce_max_ops: Vec<u32>,
@@ -153,8 +129,6 @@ impl Space {
             writer_buffer: vec![1 << 20, 4 << 20, 16 << 20],
             cb_buffer: vec![4 << 20, 16 << 20],
             coalesce_fields: vec![false, true],
-            backend: vec![BackendKnob::Threaded, BackendKnob::Ring],
-            backend_batch: vec![1, 8, 32],
             tier_drain_bw: vec![None],
             coalesce_max_bytes: vec![8 << 20],
             coalesce_max_ops: vec![64],
@@ -182,8 +156,6 @@ impl Space {
         nonempty!(writer_buffer);
         nonempty!(cb_buffer);
         nonempty!(coalesce_fields);
-        nonempty!(backend);
-        nonempty!(backend_batch);
         nonempty!(tier_drain_bw);
         nonempty!(coalesce_max_bytes);
         nonempty!(coalesce_max_ops);
@@ -192,9 +164,6 @@ impl Space {
         }
         if self.pipeline_depth.contains(&0) {
             return Err("pipeline_depth axis contains 0".to_string());
-        }
-        if self.backend_batch.contains(&0) {
-            return Err("backend_batch axis contains 0".to_string());
         }
         Ok(())
     }
@@ -208,8 +177,6 @@ impl Space {
             Knob::WriterBuffer => self.writer_buffer.len(),
             Knob::CbBuffer => self.cb_buffer.len(),
             Knob::CoalesceFields => self.coalesce_fields.len(),
-            Knob::Backend => self.backend.len(),
-            Knob::BackendBatch => self.backend_batch.len(),
             Knob::TierDrainBw => self.tier_drain_bw.len(),
             Knob::CoalesceMaxBytes => self.coalesce_max_bytes.len(),
             Knob::CoalesceMaxOps => self.coalesce_max_ops.len(),
@@ -232,8 +199,6 @@ impl Space {
             Knob::WriterBuffer => out.writer_buffer = self.writer_buffer[idx],
             Knob::CbBuffer => out.cb_buffer = self.cb_buffer[idx],
             Knob::CoalesceFields => out.coalesce_fields = self.coalesce_fields[idx],
-            Knob::Backend => out.backend = self.backend[idx],
-            Knob::BackendBatch => out.backend_batch = self.backend_batch[idx],
             Knob::TierDrainBw => out.tier_drain_bw = self.tier_drain_bw[idx],
             Knob::CoalesceMaxBytes => out.coalesce_max_bytes = self.coalesce_max_bytes[idx],
             Knob::CoalesceMaxOps => out.coalesce_max_ops = self.coalesce_max_ops[idx],
@@ -255,8 +220,6 @@ impl Space {
             writer_buffer: self.writer_buffer[0],
             cb_buffer: self.cb_buffer[0],
             coalesce_fields: self.coalesce_fields[0],
-            backend: self.backend[0],
-            backend_batch: self.backend_batch[0],
             tier_drain_bw: self.tier_drain_bw[0],
             coalesce_max_bytes: self.coalesce_max_bytes[0],
             coalesce_max_ops: self.coalesce_max_ops[0],
@@ -312,8 +275,6 @@ mod tests {
         s.writer_buffer = vec![4 << 20];
         s.cb_buffer = vec![16 << 20];
         s.coalesce_fields = vec![false];
-        s.backend = vec![BackendKnob::Threaded];
-        s.backend_batch = vec![1];
         let all = s.enumerate();
         assert_eq!(all.len() as u64, s.size());
         assert_eq!(all.len(), 3); // just the nf axis

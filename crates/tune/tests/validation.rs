@@ -3,9 +3,7 @@
 //! machine model changes, and do it at a small fraction of the
 //! exhaustive sweep's evaluation count.
 
-use rbio_tune::{
-    exhaustive, search, BackendKnob, Env, MachineOracle, SearchConfig, Space, StrategyKind,
-};
+use rbio_tune::{exhaustive, search, Env, MachineOracle, SearchConfig, Space, StrategyKind};
 
 /// The full nf axis with every satellite knob frozen, so test cost is
 /// dominated by the axis the scenario is about.
@@ -15,8 +13,6 @@ fn nf_only_space(np: u32) -> Space {
     s.writer_buffer = vec![16 << 20];
     s.cb_buffer = vec![16 << 20];
     s.coalesce_fields = vec![false];
-    s.backend = vec![BackendKnob::Threaded];
-    s.backend_batch = vec![1];
     s
 }
 
@@ -58,9 +54,9 @@ fn tier_machine_shifts_optimum_away_from_1024() {
     assert_eq!(out.best.tier_drain_bw, Some(3_000_000_000));
 }
 
-/// A pipeline/backend-focused space: nf frozen at the valley, the
-/// flush-pipeline knobs live.
-fn backend_space(np: u32) -> Space {
+/// A pipeline-focused space: nf frozen at the valley, the flush
+/// pipeline depth live.
+fn pipeline_space(np: u32) -> Space {
     let mut s = Space::intrepid(np);
     s.strategies = vec![StrategyKind::RbIo];
     s.nf = vec![256];
@@ -69,34 +65,25 @@ fn backend_space(np: u32) -> Space {
     s.writer_buffer = vec![1 << 20];
     s.cb_buffer = vec![16 << 20];
     s.coalesce_fields = vec![false];
-    s.backend_batch = vec![8];
     s
 }
 
-/// Change the I/O backend cost model and the optimum moves again: with
-/// Intrepid's µs-scale syscalls, pipelining the writer flush pays and
-/// the ring backend's amortized submission wins; on the syscall-heavy
-/// CIOD variant (2 ms per call) every pipelined job costs more than the
-/// overlap buys, so the tuner turns the pipeline OFF — and if depth is
-/// forced, it picks the ring to amortize what it can't avoid.
+/// Change the per-call syscall cost and the optimum moves again: with
+/// Intrepid's µs-scale syscalls, pipelining the writer flush pays; on
+/// the syscall-heavy CIOD variant (2 ms per call) every pipelined job
+/// costs more than the overlap buys, so the tuner turns the pipeline
+/// OFF.
 #[test]
-fn backend_cost_model_flips_pipeline_choice() {
-    let space = backend_space(4096);
+fn syscall_cost_flips_pipeline_choice() {
+    let space = pipeline_space(4096);
 
     let oracle = MachineOracle::new(Env::intrepid(4096)).unwrap();
     let out = search(&oracle, &space, &SearchConfig::default()).unwrap();
     assert!(out.best.pipeline_depth >= 2, "history: {:?}", out.history);
-    assert_eq!(out.best.backend, BackendKnob::Ring);
 
     let oracle = MachineOracle::new(Env::ciod(4096)).unwrap();
     let out = search(&oracle, &space, &SearchConfig::default()).unwrap();
     assert_eq!(out.best.pipeline_depth, 1, "history: {:?}", out.history);
-
-    let mut forced = space.clone();
-    forced.pipeline_depth = vec![2, 4];
-    let oracle = MachineOracle::new(Env::ciod(4096)).unwrap();
-    let out = search(&oracle, &forced, &SearchConfig::default()).unwrap();
-    assert_eq!(out.best.backend, BackendKnob::Ring, "{:?}", out.history);
 }
 
 /// The solver's efficiency claim: over a multi-knob space it reaches
@@ -105,10 +92,10 @@ fn backend_cost_model_flips_pipeline_choice() {
 #[test]
 fn solver_evaluates_5x_fewer_configs_than_exhaustive() {
     let mut space = Space::intrepid(512);
-    space.pipeline_depth = vec![1, 2];
-    space.backend_batch = vec![1, 8];
-    // 3 strategies × 4 nf × 2 depth × 3 writer × 2 cb × 2 coalesce ×
-    // 2 backend × 2 batch = 1152 cross-product points.
+    space.writer_buffer = vec![1 << 20, 2 << 20, 4 << 20, 8 << 20, 16 << 20];
+    space.cb_buffer = vec![4 << 20, 8 << 20, 16 << 20];
+    // 3 strategies × 4 nf × 3 depth × 5 writer × 3 cb × 2 coalesce =
+    // 1080 cross-product points.
     assert!(space.size() >= 1000);
 
     let o_search = MachineOracle::new(Env::intrepid(512)).unwrap();
@@ -149,7 +136,7 @@ fn masked_knobs_are_truly_cost_invariant() {
     nf_flip.nf = 256;
     assert_eq!(cost_of(base), cost_of(nf_flip));
 
-    // With a staging tier, pipeline depth and backend do not matter.
+    // With a staging tier, pipeline depth does not matter.
     let tier_cost_of = |c| MachineOracle::new(Env::tier(256)).unwrap().cost(&c);
     let mut t = base;
     t.strategy = StrategyKind::RbIo;
@@ -157,7 +144,5 @@ fn masked_knobs_are_truly_cost_invariant() {
     t.tier_drain_bw = Some(1_500_000_000);
     let mut t_flip = t;
     t_flip.pipeline_depth = 4;
-    t_flip.backend = BackendKnob::Ring;
-    t_flip.backend_batch = 32;
     assert_eq!(tier_cost_of(t), tier_cost_of(t_flip));
 }
