@@ -1,12 +1,10 @@
-//! Datapath micro-benchmarks: the zero-copy buffer path vs the legacy
-//! deep-copy path through the real executor, and slice-by-8 CRC vs the
-//! byte-at-a-time scalar oracle. The quantity of interest (copies per
+//! Datapath micro-benchmarks: the zero-copy buffer path through the real
+//! executor, and slice-by-8 CRC vs the byte-at-a-time scalar oracle. The quantity of interest (copies per
 //! checkpoint byte, CRC speedup) is reported by the `datapath` *binary*;
 //! this group is the timing regression guard.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
-use rbio::buf::CopyMode;
 use rbio::exec::{execute, ExecConfig};
 use rbio::format::{crc32c, crc32c_scalar, materialize_payloads};
 use rbio::layout::DataLayout;
@@ -44,15 +42,10 @@ fn bench_exec(c: &mut Criterion) {
     let mut g = c.benchmark_group("datapath/exec-rbio-8r");
     g.sample_size(10);
     g.throughput(Throughput::Bytes(plan.total_file_bytes()));
-    for (label, mode) in [
-        ("deep-copy", CopyMode::DeepCopy),
-        ("zero-copy", CopyMode::ZeroCopy),
-    ] {
-        let cfg = ExecConfig::new(&dir).copy_mode(mode);
-        g.bench_function(label, |b| {
-            b.iter(|| execute(&plan.program, payloads.clone(), &cfg).expect("exec"))
-        });
-    }
+    let cfg = ExecConfig::new(&dir);
+    g.bench_function("zero-copy", |b| {
+        b.iter(|| execute(&plan.program, payloads.clone(), &cfg).expect("exec"))
+    });
     g.finish();
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -9,7 +9,8 @@
 //!   PR 2 double-enqueue race.
 //! * `p2` — the thread-per-rank executor running a real RB-IO
 //!   checkpoint plan, pipelined and zero-copy, compared byte-for-byte
-//!   against an uncontrolled deep-copy serial reference.
+//!   against the images packed from the layout
+//!   ([`rbio::format::pack_plan_files`]).
 //! * `p3` — the same plan through the MPI-like runtime
 //!   ([`rt::checkpoint_rank_with`]), against the same reference.
 //! * `p4` — a two-rank aggregation with an injected message drop. The
@@ -19,7 +20,7 @@
 //! * `p5` — a four-rank, two-writer RB-IO plan where one writer hangs
 //!   mid-write and is declared dead. The correct outcome is a clean
 //!   failover: the surviving writer re-stages the orphaned extent and
-//!   the output matches an uninjected serial reference byte-for-byte,
+//!   the output matches the packed reference byte-for-byte,
 //!   with exactly-once takeover and no commit under the fenced rank
 //!   (PR 5 territory; `REVERT_PR5_FENCE` re-opens the zombie
 //!   double-commit hole).
@@ -69,11 +70,11 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use rbio::buf::{Bytes, CopyMode};
+use rbio::buf::Bytes;
 use rbio::exec::{execute, ExecConfig};
 use rbio::failover::FailoverPolicy;
 use rbio::fault::FaultPlan;
-use rbio::format::materialize_payloads;
+use rbio::format::{materialize_payloads, pack_plan_files};
 use rbio::layout::DataLayout;
 use rbio::manager::{CheckpointManager, GenerationState, ManagerConfig};
 use rbio::pipeline::{FlushJob, FlushPool, WriterTuning};
@@ -90,7 +91,7 @@ use rbio_plan::{DataRef, Op, ProgramBuilder, Tag};
 pub enum ProgramKind {
     /// `p1`: direct pipeline submits (PR 2 race territory).
     PipelineRace,
-    /// `p2`: pipelined executor vs. serial deep-copy reference.
+    /// `p2`: pipelined executor vs. the packed reference.
     ExecEquiv,
     /// `p3`: MPI-like runtime vs. the same reference.
     RtEquiv,
@@ -169,10 +170,10 @@ impl ProgramKind {
     pub fn describe(&self) -> &'static str {
         match self {
             ProgramKind::PipelineRace => "direct flush-pipeline submits (double-enqueue race)",
-            ProgramKind::ExecEquiv => "pipelined executor vs. serial deep-copy reference",
-            ProgramKind::RtEquiv => "MPI-like runtime vs. serial deep-copy reference",
+            ProgramKind::ExecEquiv => "pipelined executor vs. packed reference",
+            ProgramKind::RtEquiv => "MPI-like runtime vs. packed reference",
             ProgramKind::FaultDrop => "two-rank aggregation with an injected message drop",
-            ProgramKind::Failover => "hung-writer failover vs. uninjected serial reference",
+            ProgramKind::Failover => "hung-writer failover vs. packed reference",
             ProgramKind::TierDrain => "tiered drain racing a local-tier restore",
             ProgramKind::TierLoss => "mid-drain local-tier loss recovered from the burst tier",
             ProgramKind::ServiceAdmission => {
@@ -301,7 +302,7 @@ fn prepare_pipeline_race(dir: &Path) -> PreparedProgram {
 /// `p2`/`p3`: a 3-rank, 2-group RB-IO plan with a shared collective
 /// commit — writers aggregate peers' data, so the schedule interleaves
 /// messaging, pipelined writes, and the commit protocol. The reference
-/// is the deep-copy serial executor run uncontrolled at prepare time.
+/// is the committed images packed from the layout at prepare time.
 fn prepare_plan_equiv(dir: &Path, through_rt: bool) -> PreparedProgram {
     let layout = DataLayout::uniform(3, &[("Ex", 384), ("Ey", 160)]);
     let plan = CheckpointSpec::new(layout, "ck")
@@ -314,21 +315,7 @@ fn prepare_plan_equiv(dir: &Path, through_rt: bool) -> PreparedProgram {
         .expect("valid rb-io plan");
     let payloads = materialize_payloads(&plan, fill);
 
-    let ref_dir = dir.join("ref");
-    execute(
-        &plan.program,
-        payloads.clone(),
-        &ExecConfig::new(&ref_dir).copy_mode(CopyMode::DeepCopy),
-    )
-    .expect("uncontrolled reference execution");
-    let expected: Vec<(String, Vec<u8>)> = plan
-        .plan_files
-        .iter()
-        .map(|pf| {
-            let bytes = std::fs::read(ref_dir.join(&pf.name)).expect("reference file");
-            (pf.name.clone(), bytes)
-        })
-        .collect();
+    let expected = pack_plan_files(&plan, &payloads);
 
     let out_dir = dir.join("out");
     let program = plan.program;
@@ -364,8 +351,8 @@ fn prepare_plan_equiv(dir: &Path, through_rt: bool) -> PreparedProgram {
                     std::fs::read(out_dir.join(name)).map_err(|e| format!("read {name}: {e}"))?;
                 if &got != want {
                     return Err(format!(
-                        "{name}: controlled output differs from the deep-copy \
-                         serial reference ({} vs {} bytes)",
+                        "{name}: controlled output differs from the packed \
+                         reference ({} vs {} bytes)",
                         got.len(),
                         want.len()
                     ));
@@ -382,7 +369,7 @@ fn prepare_plan_equiv(dir: &Path, through_rt: bool) -> PreparedProgram {
 /// surviving writer claims the orphaned extent, re-derives its bytes
 /// from the shared payloads, and commits it exactly once while the
 /// fence keeps the reviving zombie from ever publishing. The reference
-/// is an uninjected deep-copy serial run; the model checks
+/// is the committed images packed from the layout; the model checks
 /// exactly-once takeover, no fenced commits, and unique extent
 /// commits on top of the byte-for-byte comparison.
 fn prepare_failover(dir: &Path) -> PreparedProgram {
@@ -394,21 +381,7 @@ fn prepare_failover(dir: &Path) -> PreparedProgram {
         .expect("valid rb-io plan");
     let payloads = materialize_payloads(&plan, fill);
 
-    let ref_dir = dir.join("ref");
-    execute(
-        &plan.program,
-        payloads.clone(),
-        &ExecConfig::new(&ref_dir).copy_mode(CopyMode::DeepCopy),
-    )
-    .expect("uncontrolled reference execution");
-    let expected: Vec<(String, Vec<u8>)> = plan
-        .plan_files
-        .iter()
-        .map(|pf| {
-            let bytes = std::fs::read(ref_dir.join(&pf.name)).expect("reference file");
-            (pf.name.clone(), bytes)
-        })
-        .collect();
+    let expected = pack_plan_files(&plan, &payloads);
 
     let out_dir = dir.join("out");
     let program = plan.program;
@@ -435,8 +408,8 @@ fn prepare_failover(dir: &Path) -> PreparedProgram {
                     std::fs::read(out_dir.join(name)).map_err(|e| format!("read {name}: {e}"))?;
                 if &got != want {
                     return Err(format!(
-                        "{name}: degraded-mode output differs from the uninjected \
-                         serial reference ({} vs {} bytes)",
+                        "{name}: degraded-mode output differs from the packed \
+                         reference ({} vs {} bytes)",
                         got.len(),
                         want.len()
                     ));

@@ -27,21 +27,6 @@ use std::sync::{Arc, Mutex, OnceLock, Weak};
 
 use rbio_profile::counters;
 
-/// How the executors materialize the bytes a plan op refers to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CopyMode {
-    /// Reference-counted slices end to end: a payload byte is copied only
-    /// where a copy is semantically required (into mutable staging, or
-    /// into an eager-send buffer). The default.
-    #[default]
-    ZeroCopy,
-    /// Deep-copy every resolved reference, emulating the legacy datapath
-    /// (payload → `to_vec` → channel `to_vec` → staging → flush snapshot).
-    /// Kept as the baseline for the `datapath` bench and the byte-identity
-    /// property tests.
-    DeepCopy,
-}
-
 /// Backing storage of one or more `Bytes` slices.
 struct Inner {
     data: Vec<u8>,

@@ -24,7 +24,7 @@ use std::time::{Duration, Instant};
 
 use rbio_plan::{DataRef, Op, Program};
 
-use crate::buf::{BufPool, Bytes, CopyMode};
+use crate::buf::{BufPool, Bytes};
 use crate::failover::{FailoverDirector, FailoverPolicy, WriterHealth};
 use crate::fault::{self, FaultPlan};
 use crate::format::synthetic_byte;
@@ -89,12 +89,6 @@ pub struct ExecConfig {
     /// duration before running — a deterministic way for equivalence
     /// tests to sweep cross-rank interleavings.
     pub pipeline_jitter: Option<u64>,
-    /// How payload bytes travel to disk. [`CopyMode::ZeroCopy`] (the
-    /// default) moves refcounted [`Bytes`] slices and coalesces
-    /// contiguous writes; [`CopyMode::DeepCopy`] deep-copies at every
-    /// hop — the legacy datapath, kept as the baseline for equivalence
-    /// tests and the bytes-copied benchmark.
-    pub copy_mode: CopyMode,
     /// Writer failover policy. Disabled by default: a dead writer aborts
     /// the run, exactly as before. When enabled (and the plan supports
     /// takeover — per-writer files, no writer barriers), a dead or hung
@@ -133,7 +127,6 @@ impl ExecConfig {
             recv_timeout: Duration::from_secs(2),
             pipeline_depth: 1,
             pipeline_jitter: None,
-            copy_mode: CopyMode::ZeroCopy,
             failover: FailoverPolicy::disabled(),
             stage: None,
             coalesce_max_bytes: DEFAULT_COALESCE_BYTES,
@@ -157,12 +150,6 @@ impl ExecConfig {
     /// Set the background-job jitter seed for interleaving sweeps.
     pub fn pipeline_jitter(mut self, seed: u64) -> Self {
         self.pipeline_jitter = Some(seed);
-        self
-    }
-
-    /// Select the datapath copy discipline.
-    pub fn copy_mode(mut self, mode: CopyMode) -> Self {
-        self.copy_mode = mode;
         self
     }
 

@@ -513,6 +513,57 @@ pub fn materialize_payloads(
     out
 }
 
+/// Pack the committed image of every plan file straight from the layout:
+/// the master header, each field's rank blocks in rank order (copied out
+/// of the materialized `payloads`, see [`materialize_payloads`]) and, for
+/// atomic files, the commit footer with one CRC32C region per field.
+///
+/// No executor code runs here, so the images are an independent reference
+/// for what any executor must leave on disk. Returns `(name, bytes)` in
+/// [`CheckpointPlan::plan_files`] order.
+pub fn pack_plan_files(plan: &CheckpointPlan, payloads: &[Vec<u8>]) -> Vec<(String, Vec<u8>)> {
+    let (layout, app) = (&plan.layout, plan.app.as_str());
+    let files = plan.plan_files.iter().zip(&plan.program.files);
+    files
+        .map(|(pf, file)| {
+            let (r0, r1) = (pf.r0, pf.r1);
+            let mut image = encode_header(layout, app, plan.step, r0, r1);
+            image.resize(file_size(layout, app, r0, r1) as usize, 0);
+            let mut regions = Vec::with_capacity(layout.nfields());
+            for f in 0..layout.nfields() {
+                let data_off = field_data_off(layout, app, r0, r1, f);
+                for rank in r0..r1 {
+                    let len = layout.field_bytes(rank, f) as usize;
+                    let src = plan.payload_meta[rank as usize].header_len
+                        + layout.payload_field_off(rank, f);
+                    let src = &payloads[rank as usize][src as usize..][..len];
+                    let at = data_off + layout.field_rank_off(f, r0, rank);
+                    image[at as usize..][..len].copy_from_slice(src);
+                }
+                let len = layout.field_total(f, r0, r1);
+                let crc32c = crc32c(&image[data_off as usize..][..len as usize]);
+                regions.push(FooterRegion {
+                    off: data_off,
+                    len,
+                    crc32c,
+                });
+            }
+            if file.atomic {
+                if regions.is_empty() {
+                    // No fields: the commit path checksums the whole file.
+                    regions.push(FooterRegion {
+                        off: 0,
+                        len: image.len() as u64,
+                        crc32c: crc32c(&image),
+                    });
+                }
+                image.extend_from_slice(&encode_footer(&regions));
+            }
+            (pf.name.clone(), image)
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -691,5 +742,74 @@ mod tests {
             "filler should vary: {}",
             distinct.len()
         );
+    }
+
+    /// The packer is the reference the executor suites compare against,
+    /// so it must stand on its own: its images carry valid footers and
+    /// restore to exactly the bytes `fill` produced, for every strategy.
+    #[test]
+    fn packed_images_verify_and_restore_for_every_strategy() {
+        use crate::strategy::{CheckpointSpec, RbIoCommit, Strategy};
+        let fill = |rank: u32, field: usize, buf: &mut [u8]| {
+            for (i, b) in buf.iter_mut().enumerate() {
+                *b = (rank as usize * 37 + field * 11 + i * 3) as u8;
+            }
+        };
+        let ragged = DataLayout::new(
+            6,
+            vec![
+                FieldSpec {
+                    name: "Ex".into(),
+                    sizes: FieldSizes::PerRank(vec![700, 0, 33, 1024, 5, 260]),
+                },
+                FieldSpec {
+                    name: "Hy".into(),
+                    sizes: FieldSizes::Uniform(96),
+                },
+            ],
+        );
+        let strategies = [
+            Strategy::OnePfpp,
+            Strategy::CoIo {
+                nf: 2,
+                aggregator_ratio: 2,
+            },
+            Strategy::rbio(3),
+            Strategy::RbIo {
+                ng: 2,
+                commit: RbIoCommit::CollectiveShared,
+            },
+        ];
+        for (si, strategy) in strategies.into_iter().enumerate() {
+            let plan = CheckpointSpec::new(ragged.clone(), "pk")
+                .strategy(strategy)
+                .step(5)
+                .plan()
+                .expect("valid plan");
+            let images = pack_plan_files(&plan, &materialize_payloads(&plan, fill));
+            let dir = std::env::temp_dir().join(format!("rbio-pack-{si}-{}", std::process::id()));
+            std::fs::remove_dir_all(&dir).ok();
+            std::fs::create_dir_all(&dir).expect("mkdir");
+            assert_eq!(images.len(), plan.plan_files.len());
+            for ((name, bytes), file) in images.iter().zip(&plan.program.files) {
+                assert_eq!(name, &file.name);
+                assert_eq!(crate::commit::verify_committed(bytes, file.size), None);
+                std::fs::write(dir.join(name), bytes).expect("write image");
+            }
+            let restored = crate::restart::read_checkpoint(&dir, &plan).expect("restore");
+            assert_eq!(restored.step, 5);
+            for rank in 0..6 {
+                for f in 0..2 {
+                    let mut want = vec![0u8; ragged.field_bytes(rank, f) as usize];
+                    fill(rank, f, &mut want);
+                    assert_eq!(
+                        restored.field_data(rank, f),
+                        &want[..],
+                        "s{si} r{rank} f{f}"
+                    );
+                }
+            }
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 }

@@ -19,9 +19,10 @@
 //! the stale-global reconfiguration bug at its root: reconfiguration is
 //! re-installation.
 //!
-//! Every admission decision and per-tenant byte moved is charged to the
-//! zero-alloc counters in [`rbio_profile::counters`], which also keep a
-//! live ring-buffered time series for observability.
+//! Every admission decision, QoS event and finished session is charged
+//! to the zero-alloc counters in [`rbio_profile::counters`]: each
+//! checkpoint and each restore session counts exactly once, as completed
+//! or failed, by the time it drops.
 
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
@@ -61,8 +62,8 @@ pub enum QosClass {
 /// A tenant identity as the service schedules it.
 #[derive(Debug, Clone, Copy)]
 pub struct TenantSpec {
-    /// Stable tenant id (hashes to a counter slot, see
-    /// [`counters::tenant_slot`]).
+    /// Stable tenant id: keys admission, fair share and the tenant's
+    /// directory under the service base.
     pub id: u64,
     /// Fair-share weight (≥ 1): bandwidth under contention is split in
     /// proportion to weights.
@@ -717,7 +718,6 @@ impl CheckpointService {
         Ok(CheckpointSession {
             inner: Arc::clone(inner),
             tenant,
-            slot: counters::tenant_slot(tenant.id),
             sid,
             file: Arc::new(file),
             tmp_path,
@@ -745,7 +745,6 @@ impl CheckpointService {
         Ok(RestoreSession {
             inner: Arc::clone(inner),
             tenant,
-            slot: counters::tenant_slot(tenant.id),
             file,
             len,
             offset: 0,
@@ -775,7 +774,6 @@ impl Drop for CheckpointService {
 pub struct CheckpointSession {
     inner: Arc<SvcInner>,
     tenant: TenantSpec,
-    slot: usize,
     sid: u32,
     file: Arc<File>,
     tmp_path: PathBuf,
@@ -826,7 +824,6 @@ impl CheckpointSession {
                     data: buf,
                 })?;
             self.offset += chunk.len() as u64;
-            counters::tenant_add_bytes_written(self.slot, chunk.len() as u64);
         }
         Ok(())
     }
@@ -839,8 +836,6 @@ impl CheckpointSession {
             Ok(_) => counters::add_service_completed(1),
             Err(_) => counters::add_service_failed(1),
         }
-        counters::tenant_add_session_done(self.slot);
-        counters::service_series_record(self.slot);
         res
     }
 
@@ -863,8 +858,6 @@ impl Drop for CheckpointSession {
             // Aborted session: the writer drops (quiesce + free) and the
             // tmp file stays unpublished.
             counters::add_service_failed(1);
-            counters::tenant_add_session_done(self.slot);
-            counters::service_series_record(self.slot);
         }
     }
 }
@@ -874,7 +867,6 @@ impl Drop for CheckpointSession {
 pub struct RestoreSession {
     inner: Arc<SvcInner>,
     tenant: TenantSpec,
-    slot: usize,
     file: File,
     len: u64,
     offset: u64,
@@ -907,7 +899,6 @@ impl RestoreSession {
             .read_exact_at(&mut buf[..n], self.offset)
             .map_err(ServiceError::Io)?;
         self.offset += n as u64;
-        counters::tenant_add_bytes_read(self.slot, n as u64);
         Ok(n)
     }
 
@@ -919,16 +910,20 @@ impl RestoreSession {
             let n = self.read(&mut out[done..])?;
             done += n;
         }
-        counters::add_service_completed(1);
-        counters::tenant_add_session_done(self.slot);
-        counters::service_series_record(self.slot);
         Ok(out)
     }
 }
 
 impl Drop for RestoreSession {
+    /// Counts the session once, however it was consumed: completed when
+    /// it read to EOF, failed when it was dropped early or a read failed.
     fn drop(&mut self) {
         self.inner.arbiter.leave(self.tenant.id);
+        if self.offset == self.len {
+            counters::add_service_completed(1);
+        } else {
+            counters::add_service_failed(1);
+        }
     }
 }
 
@@ -1023,7 +1018,7 @@ mod tests {
         // Two equal-weight tenants pushing identical streams through a
         // tiny quantum: neither may finish more than a quantum ahead in
         // *granted* bytes at any point. We approximate by checking both
-        // complete and per-tenant counters agree.
+        // complete with every byte committed.
         let dir = tmpdir("fair");
         let svc = Arc::new(CheckpointService::new(
             ServiceConfig::new(&dir).quantum(512).admission(8, 8),
@@ -1042,10 +1037,6 @@ mod tests {
         for h in handles {
             assert_eq!(h.join().expect("tenant thread"), bytes as u64);
         }
-        let a = counters::tenant_snapshot(counters::tenant_slot(60));
-        let b = counters::tenant_snapshot(counters::tenant_slot(61));
-        assert!(a.bytes_written >= bytes as u64);
-        assert!(b.bytes_written >= bytes as u64);
     }
 
     #[test]

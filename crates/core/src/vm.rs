@@ -31,7 +31,7 @@ use std::time::{Duration, Instant};
 use rbio_plan::{DataRef, Op, Program};
 use rbio_profile::counters;
 
-use crate::buf::{BufPool, Bytes, CopyMode};
+use crate::buf::{BufPool, Bytes};
 use crate::exec::{ExecConfig, REVERT_PR3_FAULT_DROP};
 use crate::fault;
 use crate::format::synthetic_byte;
@@ -288,28 +288,21 @@ fn write_run_len(ops: &[Op], i: usize, file: u32, max_bytes: u64, max_ops: usize
 }
 
 /// The bytes `r` names for an op that is done with them before it
-/// retires. Under `ZeroCopy` payload and staging sources are borrowed;
-/// `DeepCopy` re-materializes (a counted copy) at every hop, as the
-/// legacy datapath did. Synthetic data is generated, never copied.
+/// retires: payload and staging sources are borrowed; synthetic data is
+/// generated, never copied.
 fn source<'s>(
-    mode: CopyMode,
     payload: Payload<'s>,
     staging: &'s [u8],
     r: &DataRef,
     file_off: u64,
 ) -> Cow<'s, [u8]> {
-    let data = match *r {
-        DataRef::Own { off, len } => payload.get(off, len),
-        DataRef::Staging { off, len } => &staging[off as usize..(off + len) as usize],
-        DataRef::Synthetic { len } => {
-            return Cow::Owned((0..len).map(|i| synthetic_byte(file_off + i)).collect())
+    match *r {
+        DataRef::Own { off, len } => Cow::Borrowed(payload.get(off, len)),
+        DataRef::Staging { off, len } => {
+            Cow::Borrowed(&staging[off as usize..(off + len) as usize])
         }
-    };
-    match mode {
-        CopyMode::ZeroCopy => Cow::Borrowed(data),
-        CopyMode::DeepCopy => {
-            counters::add_bytes_copied(data.len() as u64);
-            Cow::Owned(data.to_vec())
+        DataRef::Synthetic { len } => {
+            Cow::Owned((0..len).map(|i| synthetic_byte(file_off + i)).collect())
         }
     }
 }
@@ -389,7 +382,7 @@ impl<'a> RankVm<'a> {
                     self.staging
                         .copy_within(off as usize..(off + len) as usize, at);
                 } else {
-                    let data = source(cfg.copy_mode, self.payload, &[], s, 0);
+                    let data = source(self.payload, &[], s, 0);
                     self.staging[at..at + data.len()].copy_from_slice(&data);
                 }
             }
@@ -493,20 +486,17 @@ impl<'a> RankVm<'a> {
     /// are consumed. Staging is reused by later ops, so its bytes are
     /// copied (counted); payload bytes follow [`Payload::snapshot`].
     fn owned(&self, r: &DataRef, file_off: u64) -> Bytes {
-        match (self.cfg.copy_mode, *r) {
-            (_, DataRef::Synthetic { len }) => {
+        match *r {
+            DataRef::Synthetic { len } => {
                 BufPool::global().from_fn(len as usize, |i| synthetic_byte(file_off + i as u64))
             }
-            (CopyMode::ZeroCopy, DataRef::Own { off, len }) => self.payload.snapshot(off, len),
-            (CopyMode::ZeroCopy, DataRef::Staging { .. }) => {
-                BufPool::global().copy_from_slice(&self.bytes(r, file_off))
-            }
-            (CopyMode::DeepCopy, _) => Bytes::from_vec(self.bytes(r, file_off).into_owned()),
+            DataRef::Own { off, len } => self.payload.snapshot(off, len),
+            DataRef::Staging { .. } => BufPool::global().copy_from_slice(&self.bytes(r, file_off)),
         }
     }
 
     fn bytes(&self, r: &DataRef, file_off: u64) -> Cow<'_, [u8]> {
-        source(self.cfg.copy_mode, self.payload, &self.staging, r, file_off)
+        source(self.payload, &self.staging, r, file_off)
     }
 
     /// The tier stage `file` diverts into: staging must be configured
@@ -546,8 +536,7 @@ impl<'a> RankVm<'a> {
     ///
     /// Coalescing turns byte-contiguous same-file writes into one
     /// vectored write. It is skipped when faults are armed — the
-    /// [`fault::FaultPlan`] counts logical writes, one per plan op — and
-    /// under `DeepCopy`, which keeps the legacy one-op-one-write shape.
+    /// [`fault::FaultPlan`] counts logical writes, one per plan op.
     /// Tier-staged runs always coalesce: a slab append has no fault hooks
     /// (the staged path's failure mode is losing the tier, not a torn
     /// write).
@@ -561,8 +550,7 @@ impl<'a> RankVm<'a> {
         self.maybe_hang(t);
         let cfg = self.cfg;
         let stage = self.staged_for(file);
-        let coalesce =
-            stage.is_some() || (cfg.copy_mode == CopyMode::ZeroCopy && !cfg.faults.is_armed());
+        let coalesce = stage.is_some() || !cfg.faults.is_armed();
         let end = if coalesce {
             write_run_len(ops, i, file, cfg.coalesce_max_bytes, cfg.coalesce_max_ops)
         } else {

@@ -1,5 +1,5 @@
-//! Write-path conformance: the flush pipeline's writes must be
-//! observably identical to the blocking serial reference — same bytes
+//! Write-path conformance: every write path must leave exactly the
+//! images `format::pack_plan_files` packs from the layout — same bytes
 //! on disk across strategies, executors, and pipeline depths; injected
 //! short writes completed; persistent errors latched with commits
 //! fenced, also under failover; kills on the exact logical byte
@@ -9,11 +9,11 @@ use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use rbio::backend::{IoBackend, IoCtx, ThreadedBackend};
-use rbio::buf::{Bytes, CopyMode};
+use rbio::buf::Bytes;
 use rbio::exec::{execute, ExecConfig};
 use rbio::failover::FailoverPolicy;
 use rbio::fault::{FaultPlan, WriteError};
-use rbio::format::materialize_payloads;
+use rbio::format::{materialize_payloads, pack_plan_files};
 use rbio::layout::DataLayout;
 use rbio::rt;
 use rbio::strategy::{CheckpointPlan, CheckpointSpec, RbIoCommit, Strategy};
@@ -45,24 +45,10 @@ fn plan_for(strategy: Strategy) -> CheckpointPlan {
         .expect("valid plan")
 }
 
-/// Serial deep-copy reference run: the ground truth every executor and
-/// depth must reproduce byte-for-byte.
-fn reference(plan: &CheckpointPlan, dir: &Path) -> Vec<(String, Vec<u8>)> {
-    let payloads = materialize_payloads(plan, fill);
-    let ref_dir = dir.join("ref");
-    execute(
-        &plan.program,
-        payloads,
-        &ExecConfig::new(&ref_dir).copy_mode(CopyMode::DeepCopy),
-    )
-    .expect("reference execution");
-    plan.plan_files
-        .iter()
-        .map(|pf| {
-            let bytes = std::fs::read(ref_dir.join(&pf.name)).expect("reference file");
-            (pf.name.clone(), bytes)
-        })
-        .collect()
+/// The committed images packed straight from the layout: the ground
+/// truth every executor and depth must reproduce byte-for-byte.
+fn reference(plan: &CheckpointPlan) -> Vec<(String, Vec<u8>)> {
+    pack_plan_files(plan, &materialize_payloads(plan, fill))
 }
 
 fn assert_files_match(out: &Path, expected: &[(String, Vec<u8>)], what: &str) {
@@ -71,7 +57,7 @@ fn assert_files_match(out: &Path, expected: &[(String, Vec<u8>)], what: &str) {
             std::fs::read(out.join(name)).unwrap_or_else(|e| panic!("{what}: read {name}: {e}"));
         assert_eq!(
             &got, want,
-            "{what}: {name} differs from the serial reference"
+            "{what}: {name} differs from the packed reference"
         );
     }
 }
@@ -90,7 +76,7 @@ fn byte_identical_across_strategies_and_depths() {
     for (si, strategy) in strategies.into_iter().enumerate() {
         let dir = tmpdir(&format!("equiv-s{si}"));
         let plan = plan_for(strategy);
-        let expected = reference(&plan, &dir);
+        let expected = reference(&plan);
         for depth in [1u32, 2, 4] {
             let out = dir.join(format!("d{depth}"));
             let payloads = materialize_payloads(&plan, fill);
@@ -110,7 +96,7 @@ fn byte_identical_through_the_rt_executor() {
         ng: 2,
         commit: RbIoCommit::CollectiveShared,
     });
-    let expected = reference(&plan, &dir);
+    let expected = reference(&plan);
     let out = dir.join("rt");
     let payloads = materialize_payloads(&plan, fill);
     let cfg = rt::RtConfig::new(&out).pipeline_depth(2);
@@ -131,7 +117,7 @@ fn byte_identical_through_the_rt_executor() {
 fn short_writes_complete_to_byte_identical_output() {
     let dir = tmpdir("short");
     let plan = plan_for(Strategy::rbio(2));
-    let expected = reference(&plan, &dir);
+    let expected = reference(&plan);
     // Writer rank 0's first logical write delivers only a 64-byte
     // prefix; the continuation loop must finish the op and land the
     // same bytes as the uninjected reference.
@@ -177,7 +163,7 @@ fn persistent_write_errors_latch_and_fence_commits() {
 fn commit_fencing_under_failover() {
     let dir = tmpdir("failover");
     let plan = plan_for(Strategy::rbio(2));
-    let expected = reference(&plan, &dir);
+    let expected = reference(&plan);
     // Writer rank 0 hangs long enough to be declared dead; the survivor
     // re-stages the orphaned extent through the pipelined flush jobs.
     // The published bytes must match the uninjected reference.

@@ -2,9 +2,9 @@
 //!
 //! 1. For random ragged layouts and strategies, the zero-copy datapath
 //!    (refcounted buffers, coalesced vectored writes) produces files
-//!    byte-identical to the legacy deep-copy path — under both the
-//!    thread-per-rank executor and the MPI-like runtime, serial and
-//!    pipelined.
+//!    byte-identical to the images `format::pack_plan_files` packs
+//!    straight from the layout — under both the thread-per-rank executor
+//!    and the MPI-like runtime, serial and pipelined.
 //! 2. The slice-by-8 CRC implementations equal the byte-at-a-time scalar
 //!    oracles on arbitrary lengths and (mis)alignments, including empty
 //!    input and 1–15 byte tails.
@@ -12,9 +12,10 @@
 //!    exactly what was written.
 
 use proptest::prelude::*;
-use rbio_repro::rbio::buf::CopyMode;
 use rbio_repro::rbio::exec::{execute, ExecConfig};
-use rbio_repro::rbio::format::{crc32, crc32_scalar, crc32c, crc32c_scalar, materialize_payloads};
+use rbio_repro::rbio::format::{
+    crc32, crc32_scalar, crc32c, crc32c_scalar, materialize_payloads, pack_plan_files,
+};
 use rbio_repro::rbio::layout::{DataLayout, FieldSizes, FieldSpec};
 use rbio_repro::rbio::restart::{read_checkpoint, read_checkpoint_auto};
 use rbio_repro::rbio::rt;
@@ -51,7 +52,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     #[test]
-    fn zero_copy_files_match_deep_copy_both_executors(
+    fn zero_copy_files_match_packed_reference_both_executors(
         np in 3u32..10,
         nfields in 1usize..3,
         sizes_seed in any::<u64>(),
@@ -82,15 +83,12 @@ proptest! {
             d
         };
 
-        // Reference: deep-copy, serial, thread-per-rank executor.
-        let dir_ref = mk("ref");
-        let cfg_ref = ExecConfig::new(&dir_ref).copy_mode(CopyMode::DeepCopy);
-        execute(&plan.program, payloads.clone(), &cfg_ref).expect("deep exec");
+        // Reference: the committed images packed from the layout.
+        let expected = pack_plan_files(&plan, &payloads);
 
         // Zero-copy under exec, at the sampled pipeline depth.
         let dir_zc = mk("zc");
         let cfg_zc = ExecConfig::new(&dir_zc)
-            .copy_mode(CopyMode::ZeroCopy)
             .pipeline_depth(depth)
             .pipeline_jitter(sizes_seed);
         execute(&plan.program, payloads.clone(), &cfg_zc).expect("zero exec");
@@ -99,9 +97,7 @@ proptest! {
         let dir_rt = mk("rt");
         let program = &plan.program;
         let payloads_ref = &payloads;
-        let rt_cfg = rt::RtConfig::new(&dir_rt)
-            .copy_mode(CopyMode::ZeroCopy)
-            .pipeline_depth(depth);
+        let rt_cfg = rt::RtConfig::new(&dir_rt).pipeline_depth(depth);
         let rt_cfg_ref = &rt_cfg;
         rt::run(np, |mut comm| {
             let rank = comm.rank();
@@ -109,14 +105,13 @@ proptest! {
                 .expect("rt checkpoint");
         });
 
-        for pf in &plan.plan_files {
-            let a = std::fs::read(dir_ref.join(&pf.name)).expect("ref file");
-            let b = std::fs::read(dir_zc.join(&pf.name)).expect("zero-copy exec file");
-            let c = std::fs::read(dir_rt.join(&pf.name)).expect("zero-copy rt file");
-            prop_assert_eq!(&a, &b, "exec zero-copy differs in {}", pf.name);
-            prop_assert_eq!(&a, &c, "rt zero-copy differs in {}", pf.name);
+        for (name, a) in &expected {
+            let b = std::fs::read(dir_zc.join(name)).expect("zero-copy exec file");
+            let c = std::fs::read(dir_rt.join(name)).expect("zero-copy rt file");
+            prop_assert_eq!(a, &b, "exec zero-copy differs in {}", name);
+            prop_assert_eq!(a, &c, "rt zero-copy differs in {}", name);
         }
-        for d in [&dir_ref, &dir_zc, &dir_rt] {
+        for d in [&dir_zc, &dir_rt] {
             std::fs::remove_dir_all(d).ok();
         }
     }
